@@ -177,32 +177,55 @@ let eval_fault t scr ~(gv : int array) ~mask ~(obs_mark : bool array)
        for ci = 1 to nc - 1 do
          if stop_early && !diff_obs <> 0 then raise Exit;
          let idx = cone.(ci) in
-         let ops = Netlist.operands gates.(idx) in
+         (* One pass per gate: read each operand (faulty if stamped in this
+            epoch, golden otherwise) and note whether any was stamped. *)
          let dirty = ref false in
-         Array.iter (fun x -> if stamp.(x) = ep then dirty := true) ops;
+         let v =
+           match gates.(idx) with
+           | Netlist.Buf x ->
+             if stamp.(x) = ep then (dirty := true; faulty.(x)) else gv.(x)
+           | Netlist.Not x ->
+             lnot (if stamp.(x) = ep then (dirty := true; faulty.(x)) else gv.(x))
+           | Netlist.And xs ->
+             let acc = ref all_ones in
+             for k = 0 to Array.length xs - 1 do
+               let x = xs.(k) in
+               acc :=
+                 !acc
+                 land (if stamp.(x) = ep then (dirty := true; faulty.(x))
+                       else gv.(x))
+             done;
+             !acc
+           | Netlist.Or xs ->
+             let acc = ref 0 in
+             for k = 0 to Array.length xs - 1 do
+               let x = xs.(k) in
+               acc :=
+                 !acc
+                 lor (if stamp.(x) = ep then (dirty := true; faulty.(x))
+                      else gv.(x))
+             done;
+             !acc
+           | Netlist.Xor xs ->
+             let acc = ref 0 in
+             for k = 0 to Array.length xs - 1 do
+               let x = xs.(k) in
+               acc :=
+                 !acc
+                 lxor (if stamp.(x) = ep then (dirty := true; faulty.(x))
+                       else gv.(x))
+             done;
+             !acc
+           | Netlist.Mux { sel; a; b } ->
+             let s =
+               if stamp.(sel) = ep then (dirty := true; faulty.(sel)) else gv.(sel)
+             in
+             let va = if stamp.(a) = ep then (dirty := true; faulty.(a)) else gv.(a) in
+             let vb = if stamp.(b) = ep then (dirty := true; faulty.(b)) else gv.(b) in
+             (lnot s land va) lor (s land vb)
+           | Netlist.Input _ | Netlist.Const _ -> gv.(idx)
+         in
          if !dirty then begin
-           let read x = if stamp.(x) = ep then faulty.(x) else gv.(x) in
-           let v =
-             match gates.(idx) with
-             | Netlist.Buf x -> read x
-             | Netlist.Not x -> lnot (read x)
-             | Netlist.And xs ->
-               let acc = ref all_ones in
-               Array.iter (fun x -> acc := !acc land read x) xs;
-               !acc
-             | Netlist.Or xs ->
-               let acc = ref 0 in
-               Array.iter (fun x -> acc := !acc lor read x) xs;
-               !acc
-             | Netlist.Xor xs ->
-               let acc = ref 0 in
-               Array.iter (fun x -> acc := !acc lxor read x) xs;
-               !acc
-             | Netlist.Mux { sel; a; b } ->
-               let s = read sel in
-               (lnot s land read a) lor (s land read b)
-             | Netlist.Input _ | Netlist.Const _ -> gv.(idx)
-           in
            incr evals;
            let d = (v lxor gv.(idx)) land mask in
            if d <> 0 then begin

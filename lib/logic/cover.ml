@@ -84,22 +84,45 @@ let m_cof_hits = Stc_obs.Metrics.counter "minimize.cofactor_cache_hits"
 
 type rnode = { rid : int; rows : int array array }
 
+(* The order [Stdlib.compare] puts rows in (shorter first, then word by
+   word), without the polymorphic call: row sets are sorted and compared
+   on every cofactor. *)
+let compare_row (a : int array) (b : int array) =
+  let n = Array.length a in
+  if n <> Array.length b then Int.compare n (Array.length b)
+  else begin
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    if !i = n then 0 else Int.compare a.(!i) b.(!i)
+  end
+
 module Rows_key = struct
   type t = int array array
 
-  let equal (a : t) (b : t) = a = b
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && compare_row a.(!i) b.(!i) = 0 do
+      incr i
+    done;
+    !i = n
 
   (* Deep FNV-style mix over every word: the polymorphic hash only
      samples a few elements, which collapses large row sets onto a
      handful of buckets. *)
   let hash (rows : t) =
     let h = ref (Array.length rows lxor 0x9e3779b9) in
-    Array.iter
-      (fun r ->
-        Array.iter
-          (fun w -> h := ((!h * 0x01000193) + (w lxor (w lsr 31))) land max_int)
-          r)
-      rows;
+    for i = 0 to Array.length rows - 1 do
+      let r = rows.(i) in
+      for j = 0 to Array.length r - 1 do
+        let w = r.(j) in
+        h := ((!h * 0x01000193) + (w lxor (w lsr 31))) land max_int
+      done
+    done;
     !h
 end
 
@@ -138,13 +161,13 @@ let clear_caches () = reset_cache (Domain.DLS.get cache_key)
    not copied. *)
 let canonical_rows rows_list =
   let a = Array.of_list rows_list in
-  Array.sort Stdlib.compare a;
+  Array.sort compare_row a;
   let n = Array.length a in
   if n = 0 then a
   else begin
     let out = ref 1 in
     for i = 1 to n - 1 do
-      if a.(i) <> a.(!out - 1) then begin
+      if compare_row a.(i) a.(!out - 1) <> 0 then begin
         a.(!out) <- a.(i);
         incr out
       end
@@ -189,11 +212,19 @@ let select_var nv rows =
   let ones = Array.make nv 0 and zeros = Array.make nv 0 in
   Array.iter
     (fun row ->
-      for k = 0 to nv - 1 do
-        match row_pair row k with
-        | 1 -> zeros.(k) <- zeros.(k) + 1
-        | 2 -> ones.(k) <- ones.(k) + 1
-        | _ -> ()
+      for w = 0 to Array.length row - 1 do
+        let x = row.(w) in
+        (* Bit 2j of [z] / [o] flags pair j as 01 (a zero) / 10 (a one). *)
+        let z = ref (x land lnot (x lsr 1) land R.mask01)
+        and o = ref ((x lsr 1) land lnot x land R.mask01)
+        and k = ref (w * R.vars_per_word) in
+        while !z lor !o <> 0 do
+          if !z land 1 <> 0 then zeros.(!k) <- zeros.(!k) + 1;
+          if !o land 1 <> 0 then ones.(!k) <- ones.(!k) + 1;
+          z := !z lsr 2;
+          o := !o lsr 2;
+          incr k
+        done
       done)
     rows;
   let best = ref (-1) and best_min = ref (-1) and best_tot = ref (-1) in
@@ -309,23 +340,61 @@ let rows_for_output c o =
   done;
   !rows
 
-(* Cofactor [row] by the (non-conflicting) input part [wrt]: every
-   variable fixed in [wrt] is raised to don't-care. *)
-let row_cofactor_wrt nw wrt row =
+(* The words to OR into a row to cofactor it by the (non-conflicting)
+   input part [wrt]: every variable fixed in [wrt] is raised to
+   don't-care. *)
+let cofactor_mask nw wrt =
   Array.init nw (fun i ->
       let f = wrt.(i) in
       let dc01 = f land (f lsr 1) land R.mask01 in
       let fixed01 = R.mask01 land lnot dc01 in
-      row.(i) lor fixed01 lor (fixed01 lsl 1))
+      fixed01 lor (fixed01 lsl 1))
 
 let rows_conflict nw a b =
+  let mask01 = R.mask01 in
   let conflict = ref false in
   for i = 0 to nw - 1 do
-    if R.words_conflict (a.(i) land b.(i)) then conflict := true
+    let v = a.(i) land b.(i) in
+    if (v lor (v lsr 1)) land mask01 <> mask01 then conflict := true
   done;
   !conflict
 
-let covers_cube c cube =
+(* The input rows asserting output [o], taken from [c.cubes.(i)] for
+   every [keep i] and then from every cube of [dc], cofactored by [wrt];
+   rows disjoint from [wrt] are skipped.  The order of the list does not
+   matter: callers canonicalize it. *)
+let cofactored_rows ~keep ?dc nw c o wrt =
+  let mask = cofactor_mask nw wrt in
+  let oi = o / R.outs_per_word and bit = 1 lsl (o mod R.outs_per_word) in
+  let rows = ref [] in
+  let add cc =
+    if (R.output_words cc).(oi) land bit <> 0 then begin
+      let r = R.input_words cc in
+      if not (rows_conflict nw r wrt) then begin
+        let r = Array.copy r in
+        for i = 0 to nw - 1 do
+          r.(i) <- r.(i) lor mask.(i)
+        done;
+        rows := r :: !rows
+      end
+    end
+  in
+  let cubes = c.cubes in
+  for i = Array.length cubes - 1 downto 0 do
+    if keep i then add cubes.(i)
+  done;
+  Option.iter (fun d -> Array.iter add d.cubes) dc;
+  !rows
+
+let check_dc name c = function
+  | Some d when d.num_vars <> c.num_vars || d.num_outputs <> c.num_outputs ->
+    invalid_arg (name ^ ": dimension mismatch")
+  | _ -> ()
+
+let keep_all (_ : int) = true
+
+let covers_cube_among ?dc ~keep c cube =
+  check_dc "Cover.covers_cube_among" c dc;
   let nw = R.in_words c.num_vars in
   let cache = Domain.DLS.get cache_key in
   let wrt = R.input_words cube in
@@ -333,21 +402,15 @@ let covers_cube c cube =
   let o = ref 0 in
   while !ok && !o < c.num_outputs do
     if Cube.output_bit cube !o then begin
-      let rows = ref [] in
-      for i = Array.length c.cubes - 1 downto 0 do
-        let cc = c.cubes.(i) in
-        if Cube.output_bit cc !o then begin
-          let r = R.input_words cc in
-          if not (rows_conflict nw r wrt) then
-            rows := row_cofactor_wrt nw wrt r :: !rows
-        end
-      done;
-      let node = intern cache (canonical_rows !rows) in
+      let rows = cofactored_rows ~keep ?dc nw c !o wrt in
+      let node = intern cache (canonical_rows rows) in
       if not (node_tautology cache c.num_vars node) then ok := false
     end;
     incr o
   done;
   !ok
+
+let covers_cube c cube = covers_cube_among ~keep:keep_all c cube
 
 let tautology c =
   covers_cube c (Cube.full ~num_vars:c.num_vars ~num_outputs:c.num_outputs)
@@ -380,7 +443,8 @@ let complement ?(jobs = 1) c =
   done;
   { c with cubes = Array.of_list !cubes }
 
-let sharp_cube cube c =
+let sharp_cube_among ?dc ~keep cube c =
+  check_dc "Cover.sharp_cube_among" c dc;
   let num_vars = Cube.num_vars cube in
   let num_outputs = Cube.num_outputs cube in
   let nw = R.in_words num_vars in
@@ -396,16 +460,8 @@ let sharp_cube cube c =
          point set as a global complement restricted to [cube] - but
          the cofactored row sets are tiny and repeat across calls, so
          the interned complement memo actually hits. *)
-      let rows = ref [] in
-      for i = Array.length c.cubes - 1 downto 0 do
-        let cc = c.cubes.(i) in
-        if Cube.output_bit cc o then begin
-          let r = R.input_words cc in
-          if not (rows_conflict nw r cube_in) then
-            rows := row_cofactor_wrt nw cube_in r :: !rows
-        end
-      done;
-      let node = intern cache (canonical_rows !rows) in
+      let rows = cofactored_rows ~keep ?dc nw c o cube_in in
+      let node = intern cache (canonical_rows rows) in
       let comp = node_complement cache num_vars nw node in
       for i = Array.length comp - 1 downto 0 do
         let r = comp.(i) in
@@ -420,6 +476,8 @@ let sharp_cube cube c =
     end
   done;
   { num_vars; num_outputs; cubes = Array.of_list !cubes }
+
+let sharp_cube cube c = sharp_cube_among ~keep:keep_all cube c
 
 (* Keep only maximal cubes, canonically: sort most-general-first (fewer
    input literals, then more outputs, then {!Cube.compare}) and keep a

@@ -60,6 +60,12 @@ val tautology : t -> bool
     for all of [cube]'s outputs. *)
 val covers_cube : t -> Cube.t -> bool
 
+(** [covers_cube_among ?dc ~keep c cube] is [covers_cube] against the
+    cubes [c.cubes.(i)] with [keep i] plus every cube of [dc], without
+    building that cover: the same row set, so the same answer.
+    @raise Invalid_argument when [dc] and [c] differ in dimensions. *)
+val covers_cube_among : ?dc:t -> keep:(int -> bool) -> t -> Cube.t -> bool
+
 (** [covers a b]: [a] covers every cube of [b]. *)
 val covers : t -> t -> bool
 
@@ -76,6 +82,12 @@ val complement : ?jobs:int -> t -> t
 (** [sharp_cube cube c] is the set difference [cube \ c] as a cover:
     the parts of [cube] (per output of [cube]) not covered by [c]. *)
 val sharp_cube : Cube.t -> t -> t
+
+(** [sharp_cube_among ?dc ~keep cube c] is [sharp_cube] against the cubes
+    [c.cubes.(i)] with [keep i] plus every cube of [dc], without building
+    that cover; the result is cube-for-cube the same.
+    @raise Invalid_argument when [dc] and [c] differ in dimensions. *)
+val sharp_cube_among : ?dc:t -> keep:(int -> bool) -> Cube.t -> t -> t
 
 (** [single_cube_containment c] drops every cube contained in another
     single cube of [c] (cheap redundancy removal).  The result is

@@ -286,6 +286,13 @@ let output_count c =
 
 let equal a b = a.nv = b.nv && a.no = b.no && a.inw = b.inw && a.outw = b.outw
 
+(* Mixes every word: the polymorphic hash samples only a prefix of the
+   record, which would put cubes differing late in their words into one
+   bucket. *)
+let hash c =
+  let mix h w = ((h * 0x01000193) + (w lxor (w lsr 31))) land max_int in
+  Array.fold_left mix (Array.fold_left mix ((c.nv * 31) + c.no) c.inw) c.outw
+
 let compare a b =
   Stdlib.compare (a.nv, a.no, a.inw, a.outw) (b.nv, b.no, b.inw, b.outw)
 

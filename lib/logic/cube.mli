@@ -109,6 +109,9 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
+(** [hash c] is a hash over every packed word, consistent with {!equal}. *)
+val hash : t -> int
+
 (**/**)
 
 (** Packed-word internals for {!Cover} and {!Minimize}.  The word arrays

@@ -14,45 +14,99 @@ let m_raise_att = Stc_obs.Metrics.counter "minimize.expand_raises_attempted"
 
 let m_raise_acc = Stc_obs.Metrics.counter "minimize.expand_raises_accepted"
 
+let m_memo_hits = Stc_obs.Metrics.counter "minimize.expand_memo_hits"
+
 let with_dc ?dc on =
   match dc with None -> on | Some d -> Cover.union on d
 
 let off_set ?jobs ?dc on = Cover.complement ?jobs (with_dc ?dc on)
 
-let rows_conflict nw a b =
-  let conflict = ref false in
-  for i = 0 to nw - 1 do
-    if R.words_conflict (a.(i) land b.(i)) then conflict := true
-  done;
-  !conflict
-
 (* Per-domain scratch for the blocking matrix, reused across cubes so the
    hot loop allocates nothing proportional to the off-set.  [sets] holds
-   the conflict masks row-major ([nrel] rows of [nw] words), [col_rows]
-   the row indices per conflict column in CSR layout. *)
+   the conflict masks row-major ([nrel] rows of [nw] words). *)
 type scratch = {
   mutable sets : int array;
-  mutable counts : int array;
   mutable col_count : int array;
-  mutable col_start : int array;  (* nv + 1 entries *)
-  mutable col_cursor : int array;
-  mutable col_rows : int array;
   mutable blocked : bool array;
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      {
-        sets = [||];
-        counts = [||];
-        col_count = [||];
-        col_start = [||];
-        col_cursor = [||];
-        col_rows = [||];
-        blocked = [||];
-      })
+      { sets = [||]; col_count = [||]; blocked = [||] })
 
 let ensure = Stc_bits.Arena.ensure
+
+(* A conflict word has its bits at the even positions 0..60, one per
+   column.  Columns 0, 2, .., 28 are the bits at 0, 4, .., 56 and columns
+   1, 3, .., 29 the same bits after a shift by 2: two words of fifteen
+   4-bit counters each, which hold up to 15 rows before they must be
+   flushed.  Column 30 (bit 60) is counted on its own. *)
+let nibbles = 0x111111111111111
+
+let flush_every = 15
+
+(* [col_count] gets the blocker count of every column: the number of the
+   [nrel] rows of [sets] that have its conflict bit. *)
+let count_columns sets ~nrel ~nw ~nv col_count =
+  Array.fill col_count 0 nv 0;
+  for w = 0 to nw - 1 do
+    let base = w * R.vars_per_word in
+    let flush lo hi top =
+      for f = 0 to 14 do
+        let k = base + (2 * f) in
+        if k < nv then
+          col_count.(k) <- col_count.(k) + ((lo lsr (4 * f)) land 15);
+        if k + 1 < nv then
+          col_count.(k + 1) <- col_count.(k + 1) + ((hi lsr (4 * f)) land 15)
+      done;
+      if base + 30 < nv then col_count.(base + 30) <- col_count.(base + 30) + top
+    in
+    let lo = ref 0 and hi = ref 0 and top = ref 0 and pending = ref flush_every in
+    for i = 0 to nrel - 1 do
+      let e = sets.((i * nw) + w) in
+      lo := !lo + (e land nibbles);
+      hi := !hi + ((e lsr 2) land nibbles);
+      top := !top + (e lsr 60);
+      decr pending;
+      if !pending = 0 then begin
+        flush !lo !hi !top;
+        lo := 0;
+        hi := 0;
+        top := 0;
+        pending := flush_every
+      end
+    done;
+    flush !lo !hi !top
+  done
+
+(* The column of the one conflict bit left in the row at [base], or -1
+   when the row has none or several. *)
+let single_col sets nw base =
+  let col = ref (-1) and several = ref false in
+  for w = 0 to nw - 1 do
+    let e = sets.(base + w) in
+    if e <> 0 then
+      if !col >= 0 || e land (e - 1) <> 0 then several := true
+      else col := (w * R.vars_per_word) + (R.popcount (e - 1) / 2)
+  done;
+  if !several then -1 else !col
+
+(* The off-set as two flat word arrays, [in_words] input words and
+   [out_words] output words per off-cube, so that the two scans of every
+   expanded cube are plain index loops. *)
+type flat = { size : int; inw : int array; outw : int array }
+
+let flatten (off : Cover.t) =
+  let nw = R.in_words off.Cover.num_vars
+  and ow = R.out_words off.Cover.num_outputs in
+  let size = Array.length off.Cover.cubes in
+  let inw = Array.make (size * nw) 0 and outw = Array.make (size * ow) 0 in
+  Array.iteri
+    (fun r c ->
+      Array.blit (R.input_words c) 0 inw (r * nw) nw;
+      Array.blit (R.output_words c) 0 outw (r * ow) ow)
+    off.Cover.cubes;
+  { size; inw; outw }
 
 (* Raise one cube against the off-set using a blocking matrix: for every
    off-cube whose output part overlaps the cube's, record the set of
@@ -61,99 +115,60 @@ let ensure = Stc_bits.Arena.ensure
    of any such set; raising it removes the column from every set, and
    any set thereby reduced to a single column permanently blocks that
    remaining column.  Columns are tried in ascending blocker count (then
-   index), as in espresso.  Output parts are raised afterwards: one
-   disjointness scan of the raised input part over the off-set collects
-   every blocked output at once. *)
-let expand_cube ~(off : Cover.t) cube =
+   index), as in espresso; the counts come from SWAR field sums of the
+   conflict words, and only an accepted raise walks the sets again.
+   Output parts are raised afterwards: one disjointness scan of the
+   raised input part over the off-set collects every blocked output at
+   once. *)
+let expand_cube (off : flat) cube =
   let nv = Cube.num_vars cube in
   let no = Cube.num_outputs cube in
   let nw = R.in_words nv in
   let ow = R.out_words no in
+  let mask01 = R.mask01 in
   let cin = Array.copy (R.input_words cube) in
   let cout = Array.copy (R.output_words cube) in
-  let off_cubes = off.Cover.cubes in
   let s = Domain.DLS.get scratch_key in
-  s.sets <- ensure s.sets (Array.length off_cubes * nw);
-  s.counts <- ensure s.counts (Array.length off_cubes);
+  s.sets <- ensure s.sets (off.size * nw);
   s.col_count <- ensure s.col_count nv;
-  s.col_start <- ensure s.col_start (nv + 1);
-  s.col_cursor <- ensure s.col_cursor nv;
   s.blocked <- Stc_bits.Arena.ensure_bool s.blocked nv;
-  (* Conflict-column sets of the output-overlapping off-cubes. *)
-  let nrel = ref 0 and total = ref 0 in
+  let sets = s.sets and col_count = s.col_count and blocked = s.blocked in
+  Array.fill blocked 0 nv false;
+  (* Conflict-column sets of the output-overlapping off-cubes, and the
+     columns blocked from the start. *)
+  let nrel = ref 0 in
   let invalid = ref false in
-  Array.iter
-    (fun r ->
-      if not !invalid && Cube.output_overlap r cube then begin
-        let rin = R.input_words r in
-        let cnt = ref 0 in
-        let base = !nrel * nw in
-        for w = 0 to nw - 1 do
-          let v = cin.(w) land rin.(w) in
-          let e = lnot (v lor (v lsr 1)) land R.mask01 in
-          s.sets.(base + w) <- e;
-          cnt := !cnt + R.popcount e
-        done;
-        (* No conflict column means the cube already intersects the
-           off-set (an invalid input): mirror the old engine and return
-           it unraised. *)
-        if !cnt = 0 then invalid := true;
-        s.counts.(!nrel) <- !cnt;
-        total := !total + !cnt;
-        incr nrel
-      end)
-    off_cubes;
+  let r = ref 0 in
+  while (not !invalid) && !r < off.size do
+    let overlap = ref false in
+    for w = 0 to ow - 1 do
+      if off.outw.((!r * ow) + w) land cout.(w) <> 0 then overlap := true
+    done;
+    if !overlap then begin
+      let any = ref 0 in
+      let base = !nrel * nw in
+      for w = 0 to nw - 1 do
+        let v = cin.(w) land off.inw.((!r * nw) + w) in
+        let e = lnot (v lor (v lsr 1)) land mask01 in
+        sets.(base + w) <- e;
+        any := !any lor e
+      done;
+      (* No conflict column means the cube already intersects the
+         off-set (an invalid input): mirror the old engine and return it
+         unraised. *)
+      if !any = 0 then invalid := true
+      else begin
+        let k = single_col sets nw base in
+        if k >= 0 then blocked.(k) <- true
+      end;
+      incr nrel
+    end;
+    incr r
+  done;
   if !invalid then cube
   else begin
     let nrel = !nrel in
-    s.col_rows <- ensure s.col_rows !total;
-    Array.fill s.col_count 0 nv 0;
-    Array.fill s.blocked 0 nv false;
-    let col_of w b = (w * R.vars_per_word) + (R.popcount (b - 1) / 2) in
-    (* Only meaningful for rows with a single conflict bit left: the one
-       nonzero word then holds exactly that bit, which [col_of] maps to
-       its column. *)
-    let last_col base =
-      let j = ref (-1) in
-      for w = 0 to nw - 1 do
-        if s.sets.(base + w) <> 0 then j := col_of w s.sets.(base + w)
-      done;
-      !j
-    in
-    for i = 0 to nrel - 1 do
-      let base = i * nw in
-      for w = 0 to nw - 1 do
-        let e = ref s.sets.(base + w) in
-        while !e <> 0 do
-          let b = !e land - !e in
-          let k = col_of w b in
-          s.col_count.(k) <- s.col_count.(k) + 1;
-          e := !e land lnot b
-        done
-      done;
-      if s.counts.(i) = 1 then s.blocked.(last_col base) <- true
-    done;
-    (* CSR fill: row indices of each column's blockers. *)
-    let acc = ref 0 in
-    for k = 0 to nv - 1 do
-      s.col_start.(k) <- !acc;
-      s.col_cursor.(k) <- !acc;
-      acc := !acc + s.col_count.(k)
-    done;
-    s.col_start.(nv) <- !acc;
-    for i = 0 to nrel - 1 do
-      let base = i * nw in
-      for w = 0 to nw - 1 do
-        let e = ref s.sets.(base + w) in
-        while !e <> 0 do
-          let b = !e land - !e in
-          let k = col_of w b in
-          s.col_rows.(s.col_cursor.(k)) <- i;
-          s.col_cursor.(k) <- s.col_cursor.(k) + 1;
-          e := !e land lnot b
-        done
-      done
-    done;
+    count_columns sets ~nrel ~nw ~nv col_count;
     (* Fixed columns of the cube, cheapest (fewest blockers) first. *)
     let fixed = ref [] in
     for k = nv - 1 downto 0 do
@@ -162,21 +177,25 @@ let expand_cube ~(off : Cover.t) cube =
     done;
     let order =
       List.stable_sort
-        (fun a b -> Int.compare s.col_count.(a) s.col_count.(b))
+        (fun a b -> Int.compare col_count.(a) col_count.(b))
         !fixed
     in
     List.iter
       (fun k ->
         Stc_obs.Metrics.incr m_raise_att;
-        if not s.blocked.(k) then begin
+        if not blocked.(k) then begin
           let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
+          let bit = 1 lsl p in
           cin.(wi) <- cin.(wi) lor (3 lsl p);
           Stc_obs.Metrics.incr m_raise_acc;
-          for idx = s.col_start.(k) to s.col_start.(k + 1) - 1 do
-            let i = s.col_rows.(idx) in
-            s.sets.((i * nw) + wi) <- s.sets.((i * nw) + wi) land lnot (1 lsl p);
-            s.counts.(i) <- s.counts.(i) - 1;
-            if s.counts.(i) = 1 then s.blocked.(last_col (i * nw)) <- true
+          for i = 0 to nrel - 1 do
+            let at = (i * nw) + wi in
+            let e = sets.(at) in
+            if e land bit <> 0 then begin
+              sets.(at) <- e land lnot bit;
+              let last = single_col sets nw (i * nw) in
+              if last >= 0 then blocked.(last) <- true
+            end
           done
         end)
       order;
@@ -184,15 +203,17 @@ let expand_cube ~(off : Cover.t) cube =
        part is disjoint from every off-cube asserting [o].  One scan over
        the off-set accumulates every blocked output. *)
     let blocked_out = Array.make ow 0 in
-    Array.iter
-      (fun r ->
-        if not (rows_conflict nw cin (R.input_words r)) then begin
-          let rout = R.output_words r in
-          for w = 0 to ow - 1 do
-            blocked_out.(w) <- blocked_out.(w) lor rout.(w)
-          done
-        end)
-      off_cubes;
+    for r = 0 to off.size - 1 do
+      let disjoint = ref false in
+      for w = 0 to nw - 1 do
+        let v = cin.(w) land off.inw.((r * nw) + w) in
+        if (v lor (v lsr 1)) land mask01 <> mask01 then disjoint := true
+      done;
+      if not !disjoint then
+        for w = 0 to ow - 1 do
+          blocked_out.(w) <- blocked_out.(w) lor off.outw.((r * ow) + w)
+        done
+    done;
     for o = 0 to no - 1 do
       let wi = o / R.outs_per_word and p = o mod R.outs_per_word in
       if cout.(wi) land (1 lsl p) = 0 then begin
@@ -206,48 +227,69 @@ let expand_cube ~(off : Cover.t) cube =
     R.make_packed ~num_vars:nv ~num_outputs:no cin cout
   end
 
-let expand ?(jobs = 1) ~off cover =
+(* The prime memo of one [minimize] call: every cube [expand_cube] has
+   returned against its off-set.  Such a cube is a fixed point of
+   [expand_cube] - each fixed column of a raised cube is the last
+   conflict column of some off-cube, and every output it lacks is
+   blocked; an invalid cube comes back unraised - so a cube found here
+   skips the off-set scan. *)
+module Memo = Hashtbl.Make (struct
+  type t = Cube.t
+
+  let equal = Cube.equal
+
+  let hash = Cube.hash
+end)
+
+let expand_with ?(jobs = 1) ?memo ~(off : flat) cover =
   Stc_obs.Trace.span ~cat:"logic" "expand" @@ fun () ->
-  let n = Array.length cover.Cover.cubes in
+  let cubes = cover.Cover.cubes in
+  let n = Array.length cubes in
+  let raise_one =
+    match memo with
+    | None -> fun i -> expand_cube off cubes.(i)
+    | Some m ->
+      (* Read-only inside the (possibly parallel) map; filled after it. *)
+      fun i ->
+        if Memo.mem m cubes.(i) then begin
+          Stc_obs.Metrics.incr m_memo_hits;
+          cubes.(i)
+        end
+        else expand_cube off cubes.(i)
+  in
   let raised =
     if n = 0 then [||]
-    else
-      Stc_util.Parallel.map_range ~jobs n
-        (fun i -> expand_cube ~off cover.Cover.cubes.(i))
-        ~init:cover.Cover.cubes.(0)
+    else Stc_util.Parallel.map_range ~jobs n raise_one ~init:cubes.(0)
   in
+  Option.iter
+    (fun m -> Array.iter (fun c -> Memo.replace m c ()) raised)
+    memo;
   Cover.single_cube_containment
     (Cover.of_array ~num_vars:cover.Cover.num_vars
        ~num_outputs:cover.Cover.num_outputs raised)
 
-let cubes_except cubes alive i =
-  let out = ref [] in
-  for j = Array.length cubes - 1 downto 0 do
-    if j <> i && alive.(j) then out := cubes.(j) :: !out
-  done;
-  !out
+let expand ?jobs ~off cover =
+  if off.Cover.num_vars <> cover.Cover.num_vars
+     || off.Cover.num_outputs <> cover.Cover.num_outputs
+  then invalid_arg "Minimize.expand: off-set dimension mismatch";
+  expand_with ?jobs ~off:(flatten off) cover
 
 (* IRREDUNDANT via the relatively-essential / partially-redundant split:
    one (parallelizable) covered-by-all-others test per cube classifies it
    as relatively essential (kept unconditionally) or partially redundant;
    only the partially-redundant cubes then go through the sequential
-   greedy drop, most-specific first. *)
+   greedy drop, most-specific first.  Each test runs over the whole cube
+   array with an index filter instead of a cover of the other cubes. *)
 let irredundant ?(jobs = 1) ?dc cover =
   Stc_obs.Trace.span ~cat:"logic" "irredundant" @@ fun () ->
   let cubes = cover.Cover.cubes in
   let n = Array.length cubes in
   if n <= 1 then cover
   else begin
-    let num_vars = cover.Cover.num_vars
-    and num_outputs = cover.Cover.num_outputs in
-    let all_alive = Array.make n true in
-    let context_of alive i =
-      with_dc ?dc
-        (Cover.make ~num_vars ~num_outputs (cubes_except cubes alive i))
-    in
     let covered =
       Stc_util.Parallel.map_range ~jobs n
-        (fun i -> Cover.covers_cube (context_of all_alive i) cubes.(i))
+        (fun i ->
+          Cover.covers_cube_among ?dc ~keep:(fun j -> j <> i) cover cubes.(i))
         ~init:false
     in
     let partially_redundant = ref [] in
@@ -265,16 +307,20 @@ let irredundant ?(jobs = 1) ?dc cover =
     let alive = Array.make n true in
     List.iter
       (fun i ->
-        if Cover.covers_cube (context_of alive i) cubes.(i) then
+        let keep j = j <> i && alive.(j) in
+        if Cover.covers_cube_among ?dc ~keep cover cubes.(i) then
           alive.(i) <- false)
       order;
     let kept = ref [] in
     for i = n - 1 downto 0 do
       if alive.(i) then kept := cubes.(i) :: !kept
     done;
-    Cover.make ~num_vars ~num_outputs !kept
+    Cover.make ~num_vars:cover.Cover.num_vars
+      ~num_outputs:cover.Cover.num_outputs !kept
   end
 
+(* REDUCE in place over one cube array: [current] wraps [cubes], so the
+   sharp of cube [i] sees the cubes before it already shrunk. *)
 let reduce ?dc cover =
   Stc_obs.Trace.span ~cat:"logic" "reduce" @@ fun () ->
   let cubes = Array.copy cover.Cover.cubes in
@@ -282,10 +328,10 @@ let reduce ?dc cover =
   let alive = Array.make n true in
   let num_vars = cover.Cover.num_vars
   and num_outputs = cover.Cover.num_outputs in
+  let current = Cover.of_array ~num_vars ~num_outputs cubes in
   for i = 0 to n - 1 do
-    let others = Cover.make ~num_vars ~num_outputs (cubes_except cubes alive i) in
-    let context = with_dc ?dc others in
-    let unique = Cover.sharp_cube cubes.(i) context in
+    let keep j = j <> i && alive.(j) in
+    let unique = Cover.sharp_cube_among ?dc ~keep cubes.(i) current in
     match Array.to_list unique.Cover.cubes with
     | [] -> alive.(i) <- false (* fully covered elsewhere: drop *)
     | first :: more ->
@@ -317,28 +363,22 @@ let verify ~on ?dc result =
 
 let is_irredundant ?dc cover =
   let cubes = cover.Cover.cubes in
-  let n = Array.length cubes in
-  let alive = Array.make n true in
-  let num_vars = cover.Cover.num_vars
-  and num_outputs = cover.Cover.num_outputs in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if !ok then begin
-      let others =
-        Cover.make ~num_vars ~num_outputs (cubes_except cubes alive i)
-      in
-      if Cover.covers_cube (with_dc ?dc others) cubes.(i) then ok := false
-    end
-  done;
-  !ok
+  let rec from i =
+    i >= Array.length cubes
+    || (not (Cover.covers_cube_among ?dc ~keep:(fun j -> j <> i) cover cubes.(i))
+        && from (i + 1))
+  in
+  from 0
 
 let minimize ?(jobs = 1) ?dc on =
   Stc_obs.Trace.span ~cat:"logic" "minimize" @@ fun () ->
   Stc_obs.Metrics.incr m_calls;
   let initial_cubes, initial_literals = Cover.cost on in
   let off = off_set ~jobs ?dc on in
+  let memo = Memo.create 1024 in
+  let expand = expand_with ~jobs ~memo ~off:(flatten off) in
   let current =
-    ref (irredundant ~jobs ?dc (expand ~jobs ~off (Cover.single_cube_containment on)))
+    ref (irredundant ~jobs ?dc (expand (Cover.single_cube_containment on)))
   in
   let best = ref !current in
   let best_cost = ref (Cover.cost !current) in
@@ -347,7 +387,7 @@ let minimize ?(jobs = 1) ?dc on =
   while !improving && !iterations < 10 do
     incr iterations;
     let reduced = reduce ?dc !current in
-    let expanded = expand ~jobs ~off reduced in
+    let expanded = expand reduced in
     let cleaned = irredundant ~jobs ?dc expanded in
     current := cleaned;
     let cost = Cover.cost cleaned in

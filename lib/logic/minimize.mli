@@ -5,17 +5,28 @@
     flow (fig. 1) and of the pipeline blocks C1/C2 (fig. 4); the area
     comparison of section 4 is made on the minimized covers.
 
-    The hot loop is bit-parallel: EXPAND raises columns against per-cube
-    blocking matrices derived from the off-set (one word-AND per
-    off-cube), IRREDUNDANT splits cubes into relatively-essential and
-    partially-redundant classes before the sequential greedy drop, and
-    the optional [jobs] argument fans the per-cube work of EXPAND and
-    the classification pass of IRREDUNDANT (plus the per-output off-set
-    complements) over that many OCaml domains.  Results are identical
-    for every [jobs] value.  Progress is observable through the
-    [minimize.*] counters of {!Stc_obs.Metrics} (expand raises
-    attempted/accepted, tautology calls and memo hits, cofactor cache
-    hits) and the [logic] trace spans. *)
+    The hot loop is bit-parallel.  EXPAND flattens the off-set into word
+    arrays once, then raises each cube against a blocking matrix: one
+    word-AND per output-overlapping off-cube gives the columns on which
+    it conflicts with the cube, SWAR 4-bit field sums of those words give
+    every column's blocker count, and columns are tried cheapest first.
+    Only an accepted raise walks the matrix again, to clear its column.
+    Within one {!minimize} call a prime memo remembers every cube EXPAND
+    returned; such a cube is a fixed point of EXPAND, so when REDUCE
+    leaves it untouched the next EXPAND returns it without scanning the
+    off-set.  IRREDUNDANT splits cubes into relatively-essential and
+    partially-redundant classes before the sequential greedy drop;
+    IRREDUNDANT and REDUCE test each cube against the rest of the cube
+    array through an index filter ({!Cover.covers_cube_among},
+    {!Cover.sharp_cube_among}) instead of building a cover of the other
+    cubes.  The optional [jobs] argument fans the per-cube work of EXPAND
+    and the classification pass of IRREDUNDANT (plus the per-output
+    off-set complements) over that many OCaml domains; the memo is only
+    read inside a parallel map and filled after it.  Results are
+    identical for every [jobs] value.  Progress is observable through
+    the [minimize.*] counters of {!Stc_obs.Metrics} (expand raises
+    attempted/accepted, expand memo hits, tautology calls and memo hits,
+    cofactor cache hits) and the [logic] trace spans. *)
 
 type report = {
   initial_cubes : int;
@@ -42,7 +53,9 @@ val reference : ?budget:float -> ?dc:Cover.t -> Cover.t -> Cover.t * report
 (** [expand ?jobs ~off cover] raises each cube to a prime cube: columns
     and outputs are lifted, cheapest first, as long as the cube stays
     disjoint from the off-set [off]; then single-cube containment cleans
-    up. *)
+    up.  A cube that already meets [off] is returned unraised.  Expanding
+    the result again returns it unchanged.
+    @raise Invalid_argument when [off] and [cover] differ in dimensions. *)
 val expand : ?jobs:int -> off:Cover.t -> Cover.t -> Cover.t
 
 (** [irredundant ?jobs ?dc cover] removes cubes covered by the rest of

@@ -180,57 +180,85 @@ let stats (net : t) =
 
 let all_ones = -1
 
+(* The value of gate [gate] whose input pin [pin] is stuck at [stuck]
+   (every other pin reads [values]); a source has no pins and keeps its
+   fault-free value [v]. *)
+let pin_fault_value ~values ~pin ~stuck ~v gate =
+  let read k x = if k = pin then stuck else values.(x) in
+  match gate with
+  | Input _ | Const _ -> v
+  | Buf x -> read 0 x
+  | Not x -> lnot (read 0 x)
+  | And xs ->
+    let acc = ref all_ones in
+    Array.iteri (fun k x -> acc := !acc land read k x) xs;
+    !acc
+  | Or xs ->
+    let acc = ref 0 in
+    Array.iteri (fun k x -> acc := !acc lor read k x) xs;
+    !acc
+  | Xor xs ->
+    let acc = ref 0 in
+    Array.iteri (fun k x -> acc := !acc lxor read k x) xs;
+    !acc
+  | Mux { sel; a; b } ->
+    let s = read 0 sel in
+    (lnot s land read 1 a) lor (s land read 2 b)
+
+(* Plain index loops, no closure per gate: this runs once per simulated
+   cycle.  The fault is looked at only on its own gate. *)
 let eval_into ?fault (net : t) ~values ~inputs =
   if Array.length inputs <> Array.length net.inputs then
-    invalid_arg "Netlist.eval: input count mismatch";
+    invalid_arg "Netlist.eval_into: input count mismatch";
   if Array.length values <> num_gates net then
     invalid_arg "Netlist.eval_into: values buffer size mismatch";
+  let fgate = match fault with None -> -1 | Some f -> f.gate in
+  let gates = net.gates in
   let next_input = ref 0 in
-  let faulty_output, faulty_pin =
-    match fault with
-    | None -> (-1, (-1, -1, false))
-    | Some { gate; pin = None; stuck_at } ->
-      ((gate lsl 1) lor Bool.to_int stuck_at, (-1, -1, false))
-    | Some { gate; pin = Some k; stuck_at } -> (-1, (gate, k, stuck_at))
-  in
-  let fgate, fpin, fstuck = faulty_pin in
-  Array.iteri
-    (fun idx gate ->
-      let read k x =
-        if idx = fgate && k = fpin then if fstuck then all_ones else 0
-        else values.(x)
-      in
-      let v =
-        match gate with
-        | Input _ ->
-          let v = inputs.(!next_input) in
-          incr next_input;
-          v
-        | Const true -> all_ones
-        | Const false -> 0
-        | Buf x -> read 0 x
-        | Not x -> lnot (read 0 x)
-        | And xs ->
-          let acc = ref all_ones in
-          Array.iteri (fun k x -> acc := !acc land read k x) xs;
-          !acc
-        | Or xs ->
-          let acc = ref 0 in
-          Array.iteri (fun k x -> acc := !acc lor read k x) xs;
-          !acc
-        | Xor xs ->
-          let acc = ref 0 in
-          Array.iteri (fun k x -> acc := !acc lxor read k x) xs;
-          !acc
-        | Mux { sel; a; b } ->
-          let s = read 0 sel in
-          (lnot s land read 1 a) lor (s land read 2 b)
-      in
-      values.(idx) <-
-        (if faulty_output = (idx lsl 1) lor 1 then all_ones
-         else if faulty_output = idx lsl 1 then 0
-         else v))
-    net.gates
+  for idx = 0 to Array.length gates - 1 do
+    let gate = gates.(idx) in
+    let v =
+      match gate with
+      | Input _ ->
+        let v = inputs.(!next_input) in
+        incr next_input;
+        v
+      | Const true -> all_ones
+      | Const false -> 0
+      | Buf x -> values.(x)
+      | Not x -> lnot values.(x)
+      | And xs ->
+        let acc = ref all_ones in
+        for k = 0 to Array.length xs - 1 do
+          acc := !acc land values.(xs.(k))
+        done;
+        !acc
+      | Or xs ->
+        let acc = ref 0 in
+        for k = 0 to Array.length xs - 1 do
+          acc := !acc lor values.(xs.(k))
+        done;
+        !acc
+      | Xor xs ->
+        let acc = ref 0 in
+        for k = 0 to Array.length xs - 1 do
+          acc := !acc lxor values.(xs.(k))
+        done;
+        !acc
+      | Mux { sel; a; b } ->
+        let s = values.(sel) in
+        (lnot s land values.(a)) lor (s land values.(b))
+    in
+    values.(idx) <-
+      (if idx <> fgate then v
+       else
+         match fault with
+         | Some { pin = None; stuck_at; _ } -> if stuck_at then all_ones else 0
+         | Some { pin = Some pin; stuck_at; _ } ->
+           pin_fault_value ~values ~pin
+             ~stuck:(if stuck_at then all_ones else 0) ~v gate
+         | None -> v)
+  done
 
 let eval ?fault (net : t) ~inputs =
   let values = Array.make (num_gates net) 0 in

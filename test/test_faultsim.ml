@@ -270,6 +270,17 @@ let test_random_netlists_equivalent =
       in
       let outs = B.emit_cover b ~inputs cover in
       Array.iteri (fun o g -> B.output b (Printf.sprintf "y%d" o) g) outs;
+      (* XOR and MUX gates on top, so the cone replay meets every gate
+         kind the architectures use. *)
+      let pool = Array.append inputs outs in
+      let pick () = pool.(Rng.int rng (Array.length pool)) in
+      for k = 0 to Rng.int rng 4 - 1 do
+        let g =
+          if Rng.bool rng then B.xor_ b [ pick (); pick () ]
+          else B.mux b ~sel:(pick ()) ~a:(pick ()) ~b:(pick ())
+        in
+        B.output b (Printf.sprintf "z%d" k) g
+      done;
       let net = B.finish b in
       let observed =
         Array.of_list

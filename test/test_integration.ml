@@ -10,9 +10,11 @@ module Generate = Stc_fsm.Generate
 module Suite = Stc_benchmarks.Suite
 module Ostr = Stc_core.Ostr
 module Realization = Stc_core.Realization
+module Solver = Stc_core.Solver
 module Tables = Stc_encoding.Tables
 module Code = Stc_encoding.Code
 module Minimize = Stc_logic.Minimize
+module Cover = Stc_logic.Cover
 module Truth = Stc_logic.Truth
 module N = Stc_netlist.Netlist
 module B = Stc_netlist.Netlist.Builder
@@ -151,6 +153,36 @@ let test_benchmark_minimization_contracts () =
         (Truth.equivalent_with_dc ~on:p.Tables.c1_on ~dc:p.Tables.c1_dc c1))
     [ "dk27"; "shiftreg"; "tav" ]
 
+(* The (cubes, literals) of the minimized C1, C2 and Lambda covers, along
+   the text path users take: print the suite machine as KISS2, parse it,
+   solve, realize, encode and minimize.  Every heuristic decision of the
+   minimizer shows in these numbers. *)
+let minimized_costs name =
+  let spec = match Suite.find name with Some s -> s | None -> assert false in
+  let machine = Kiss.parse ~name (Kiss.print (Suite.machine spec)) in
+  let result = Solver.solve machine in
+  let p = Tables.pipeline (Realization.of_solution machine result.Solver.best) in
+  List.map
+    (fun (on, dc) -> Cover.cost (fst (Minimize.minimize ~dc on)))
+    [ (p.Tables.c1_on, p.Tables.c1_dc); (p.Tables.c2_on, p.Tables.c2_dc);
+      (p.Tables.lambda_on, p.Tables.lambda_dc) ]
+
+let check_costs = Alcotest.(check (list (pair int int)))
+
+let test_tbk_minimized_costs () =
+  let costs = minimized_costs "tbk" in
+  check_costs "tbk C1, C2, Lambda" [ (616, 6405); (601, 6168); (1034, 10575) ] costs;
+  Alcotest.(check int) "tbk literals" 23148
+    (List.fold_left (fun acc (_, l) -> acc + l) 0 costs)
+
+let test_corpus_minimized_literals () =
+  let corpus = List.filter (fun n -> n <> "s1" && n <> "tbk") Suite.names in
+  Alcotest.(check int) "corpus literals" 5534
+    (List.fold_left
+       (fun acc name ->
+         List.fold_left (fun acc (_, l) -> acc + l) acc (minimized_costs name))
+       0 corpus)
+
 let () =
   Alcotest.run "stc_integration"
     [
@@ -168,5 +200,11 @@ let () =
           Alcotest.test_case "kiss to kiss" `Quick test_kiss_to_kiss;
           Alcotest.test_case "benchmark minimization contracts" `Quick
             test_benchmark_minimization_contracts;
+        ] );
+      ( "min costs",
+        [
+          Alcotest.test_case "tbk C1/C2/Lambda" `Quick test_tbk_minimized_costs;
+          Alcotest.test_case "corpus literal sum" `Quick
+            test_corpus_minimized_literals;
         ] );
     ]

@@ -432,6 +432,252 @@ let test_scc_canonical_random =
         (Cover.single_cube_containment reversed))
 
 (* ------------------------------------------------------------------ *)
+(* EXPAND / IRREDUNDANT / REDUCE vs. their first formulations          *)
+(* ------------------------------------------------------------------ *)
+
+(* EXPAND of one cube as first formulated: explicit conflict-column
+   lists per output-overlapping off-cube, columns tried in ascending
+   blocker count (then index), a column blocked while it is the last
+   conflict of some list; then every output whose off-cubes all miss the
+   raised input part. *)
+let ref_expand_cube ~(off : Cover.t) cube =
+  let nv = Cube.num_vars cube in
+  let input = Cube.input cube in
+  let conflict r k =
+    match (input.(k), Cube.get r k) with
+    | Cube.Zero, Cube.One | Cube.One, Cube.Zero -> true
+    | _ -> false
+  in
+  let sets =
+    Array.of_list
+      (List.filter_map
+         (fun r ->
+           if Cube.output_overlap r cube then
+             Some (List.filter (conflict r) (List.init nv Fun.id))
+           else None)
+         (Array.to_list off.Cover.cubes))
+  in
+  if Array.mem [] sets then cube
+  else begin
+    let count k = Array.fold_left (fun n s -> if List.mem k s then n + 1 else n) 0 sets in
+    let order =
+      List.stable_sort
+        (fun a b -> Int.compare (count a) (count b))
+        (List.filter (fun k -> input.(k) <> Cube.Dc) (List.init nv Fun.id))
+    in
+    List.iter
+      (fun k ->
+        if not (Array.mem [ k ] sets) then begin
+          input.(k) <- Cube.Dc;
+          Array.iteri (fun i s -> sets.(i) <- List.filter (( <> ) k) s) sets
+        end)
+      order;
+    let raised = Cube.make ~input ~output:(Cube.output cube) in
+    let output =
+      Array.mapi
+        (fun o b ->
+          b
+          || not
+               (Array.exists
+                  (fun r -> Cube.output_bit r o && not (Cube.disjoint raised r))
+                  off.Cover.cubes))
+        (Cube.output cube)
+    in
+    Cube.make ~input ~output
+  end
+
+let ref_expand ~off (cover : Cover.t) =
+  Cover.single_cube_containment
+    (Cover.of_array ~num_vars:cover.Cover.num_vars
+       ~num_outputs:cover.Cover.num_outputs
+       (Array.map (ref_expand_cube ~off) cover.Cover.cubes))
+
+(* The explicit context cover of cube [i]: every other live cube of
+   [cubes], then [dc]. *)
+let context ?dc (cover : Cover.t) cubes alive i =
+  let rest =
+    List.filteri (fun j _ -> j <> i && alive.(j)) (Array.to_list cubes)
+  in
+  let c =
+    Cover.make ~num_vars:cover.Cover.num_vars
+      ~num_outputs:cover.Cover.num_outputs rest
+  in
+  match dc with None -> c | Some d -> Cover.union c d
+
+let live (cover : Cover.t) cubes alive =
+  Cover.make ~num_vars:cover.Cover.num_vars ~num_outputs:cover.Cover.num_outputs
+    (List.filteri (fun i _ -> alive.(i)) (Array.to_list cubes))
+
+let ref_irredundant ?dc (cover : Cover.t) =
+  let cubes = cover.Cover.cubes in
+  let n = Array.length cubes in
+  if n <= 1 then cover
+  else begin
+    let all = Array.make n true in
+    let partial =
+      List.filter
+        (fun i -> Cover.covers_cube (context ?dc cover cubes all i) cubes.(i))
+        (List.init n Fun.id)
+    in
+    let order =
+      List.stable_sort
+        (fun a b ->
+          let la = Cube.literals cubes.(a) and lb = Cube.literals cubes.(b) in
+          if la <> lb then Int.compare lb la else Cube.compare cubes.(a) cubes.(b))
+        partial
+    in
+    let alive = Array.make n true in
+    List.iter
+      (fun i ->
+        if Cover.covers_cube (context ?dc cover cubes alive i) cubes.(i) then
+          alive.(i) <- false)
+      order;
+    live cover cubes alive
+  end
+
+let ref_reduce ?dc (cover : Cover.t) =
+  let cubes = Array.copy cover.Cover.cubes in
+  let n = Array.length cubes in
+  let alive = Array.make n true in
+  for i = 0 to n - 1 do
+    match
+      Array.to_list
+        (Cover.sharp_cube cubes.(i) (context ?dc cover cubes alive i)).Cover.cubes
+    with
+    | [] -> alive.(i) <- false
+    | first :: more ->
+      let shrunk = List.fold_left Cube.supercube first more in
+      if Cube.contains cubes.(i) shrunk then cubes.(i) <- shrunk
+  done;
+  live cover cubes alive
+
+(* Cubes over up to 64 variables (two packed words) with few
+   don't-cares, against a random off-set of up to 40 cubes: many
+   conflict columns per off-cube, more off-cubes than one SWAR count
+   field holds, and the last column of a word in play. *)
+let wide_cube rng ~num_vars ~num_outputs =
+  let input =
+    Array.init num_vars (fun _ ->
+        match Rng.int rng 8 with
+        | 0 | 1 -> Cube.Dc
+        | 2 | 3 | 4 -> Cube.Zero
+        | _ -> Cube.One)
+  in
+  let output = Array.init num_outputs (fun _ -> Rng.int rng 3 = 0) in
+  output.(Rng.int rng num_outputs) <- true;
+  Cube.make ~input ~output
+
+let wide_case rng =
+  let num_vars = 1 + Rng.int rng 64 and num_outputs = 1 + Rng.int rng 3 in
+  let cover n =
+    Cover.make ~num_vars ~num_outputs
+      (List.init n (fun _ -> wide_cube rng ~num_vars ~num_outputs))
+  in
+  let on = cover (1 + Rng.int rng 6) in
+  (on, cover (Rng.int rng 41))
+
+(* A random on/dc pair and the off-set minimize would use. *)
+let natural_case rng =
+  let num_vars, num_outputs = dims rng in
+  let on = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
+  let dc = random_cover rng ~num_vars ~num_outputs ~max_cubes:4 in
+  let dc = if Rng.bool rng then Some dc else None in
+  (on, dc, Minimize.off_set ?dc on)
+
+let test_expand_vs_reference =
+  QCheck.Test.make ~count:200 ~name:"expand = first formulation, jobs 1 and 2"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let on, off =
+        if seed mod 2 = 0 then wide_case rng
+        else
+          let on, _, off = natural_case rng in
+          (on, off)
+      in
+      let expected = ref_expand ~off on in
+      same_cover (Minimize.expand ~jobs:1 ~off on) expected
+      && same_cover (Minimize.expand ~jobs:2 ~off on) expected)
+
+let test_expand_idempotent =
+  QCheck.Test.make ~count:200 ~name:"expand of an expansion is itself"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let on, off =
+        if seed mod 2 = 0 then wide_case rng
+        else
+          let on, _, off = natural_case rng in
+          (on, off)
+      in
+      let once = Minimize.expand ~off on in
+      same_cover (Minimize.expand ~off once) once)
+
+let test_irredundant_vs_reference =
+  QCheck.Test.make ~count:200
+    ~name:"irredundant = explicit context covers, jobs 1 and 2"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let on, dc, off = natural_case rng in
+      List.for_all
+        (fun cover ->
+          let expected = ref_irredundant ?dc cover in
+          same_cover (Minimize.irredundant ~jobs:1 ?dc cover) expected
+          && same_cover (Minimize.irredundant ~jobs:2 ?dc cover) expected)
+        [ on; Minimize.expand ~off on ])
+
+let test_reduce_vs_reference =
+  QCheck.Test.make ~count:200 ~name:"reduce = explicit context covers"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let on, dc, off = natural_case rng in
+      List.for_all
+        (fun cover -> same_cover (Minimize.reduce ?dc cover) (ref_reduce ?dc cover))
+        [ on; Minimize.irredundant ?dc (Minimize.expand ~off on) ])
+
+(* [minimize]'s loop spelled out with the public passes, which keep no
+   memo between calls. *)
+let loop_minimize ?dc on =
+  let off = Minimize.off_set ?dc on in
+  let step c = Minimize.irredundant ?dc (Minimize.expand ~off c) in
+  let first = step (Cover.single_cube_containment on) in
+  let rec go best best_cost current iterations =
+    if iterations >= 10 then best
+    else
+      let cleaned = step (Minimize.reduce ?dc current) in
+      let cost = Cover.cost cleaned in
+      if cost < best_cost then go cleaned cost cleaned (iterations + 1) else best
+  in
+  go first (Cover.cost first) first 1
+
+let test_minimize_memo_invisible =
+  QCheck.Test.make ~count:150 ~name:"minimize = its loop without the prime memo"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let on, dc, _ = natural_case rng in
+      let expected = loop_minimize ?dc on in
+      same_cover (fst (Minimize.minimize ~jobs:1 ?dc on)) expected
+      && same_cover (fst (Minimize.minimize ~jobs:2 ?dc on)) expected)
+
+let test_among_filters_rows () =
+  let c = Cover.of_strings ~num_vars:2 ~num_outputs:1 [ "1- 1"; "0- 1"; "-1 1" ] in
+  let dc = Cover.of_strings ~num_vars:2 ~num_outputs:1 [ "00 1" ] in
+  let cube = Cube.of_string "-- 1" in
+  check_bool "all rows" true (Cover.covers_cube_among ~keep:(fun _ -> true) c cube);
+  check_bool "without row 1" false
+    (Cover.covers_cube_among ~keep:(fun j -> j <> 1) c cube);
+  let left = Cube.of_string "0- 1" in
+  check_bool "00 uncovered" false
+    (Cover.covers_cube_among ~keep:(fun j -> j <> 1) c left);
+  check_bool "dc covers 00" true
+    (Cover.covers_cube_among ~dc ~keep:(fun j -> j <> 1) c left);
+  check_string "sharp against row 2 only" "00 1"
+    (String.trim (Cover.to_string (Cover.sharp_cube_among ~keep:(fun j -> j = 2) left c)))
+
+(* ------------------------------------------------------------------ *)
 (* Pla                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -515,6 +761,15 @@ let () =
           Alcotest.test_case "scc canonicality" `Quick
             test_scc_prefers_general_and_is_canonical;
           qcheck test_scc_canonical_random;
+        ] );
+      ( "first formulations",
+        [
+          qcheck test_expand_vs_reference;
+          qcheck test_expand_idempotent;
+          qcheck test_irredundant_vs_reference;
+          qcheck test_reduce_vs_reference;
+          qcheck test_minimize_memo_invisible;
+          Alcotest.test_case "among filters rows" `Quick test_among_filters_rows;
         ] );
       ( "pla",
         [

@@ -117,6 +117,19 @@ dune exec bin/ostr.exe -- anytime dk16 --force-stochastic --evals 400 --full-eva
   | grep -E "stochastic tier:|best:" > "$obs_dir/anytime_full.txt"
 cmp "$obs_dir/anytime_incr.txt" "$obs_dir/anytime_full.txt"
 
+echo "== whole-flow benchmark gate (tbk-bist job must pass its correctness checks) =="
+# One cold tbk job through the self-test flow: co-simulation, Minimize.verify
+# on C1/C2/Lambda and CLI parity run after the timed stages, and the last
+# stdout line must report "correct":true.
+if command -v timeout >/dev/null 2>&1; then
+  timeout 300 python3 perfbench/run.py --workload tbk-bist --seed 1 --seconds 1 \
+    --trace 0 > "$obs_dir/perfbench.txt"
+else
+  python3 perfbench/run.py --workload tbk-bist --seed 1 --seconds 1 \
+    --trace 0 > "$obs_dir/perfbench.txt"
+fi
+tail -n 1 "$obs_dir/perfbench.txt" | grep -q '"correct":true'
+
 echo "== static lint gate (benchmark suite, --werror) =="
 # Expected-clean set: each of these machines must lint with zero errors AND
 # zero warnings; --werror turns any regression into a nonzero exit.  Keep
