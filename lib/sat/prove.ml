@@ -66,53 +66,119 @@ let add_faulty_cone s ~act ~good ~(net : N.t) ~fault cone =
     cone;
   flit
 
-let redundant ?(jobs = 1) ?observed (net : N.t) =
-  Trace.span ~cat:"sat" "sat.redundant" @@ fun () ->
-  let observed =
-    match observed with
-    | Some o -> sorted_unique o
-    | None -> sorted_unique (Array.map snd net.N.outputs)
-  in
-  let cl = N.collapse ~protected:observed net in
-  let readers = N.readers net in
+(* The per-class miter query on a solver that already holds the good
+   circuit ([good] = its literal per gate): encode the faulty cone under a
+   fresh activation literal, ask for an assignment that makes some
+   observed gate differ, then retract the cone.  A fault whose cone holds
+   no observed gate is [`Unobservable] without a SAT call. *)
+let miter s ~good ~readers ~is_observed (net : N.t) fault =
+  let cone = N.cone ~readers net fault.N.gate in
+  let obs = Array.to_list cone |> List.filter (fun g -> is_observed.(g)) in
+  if obs = [] then `Unobservable
+  else begin
+    let act = Solver.pos (Solver.new_var s) in
+    let flit = add_faulty_cone s ~act ~good ~net ~fault cone in
+    let diffs =
+      List.map (fun o -> Cnf.mk_xor s ~guard:act (Hashtbl.find flit o) good.(o)) obs
+    in
+    Solver.add_clause s (Solver.negate act :: diffs);
+    let verdict =
+      match Solver.solve ~assumptions:[ act ] s with
+      | Solver.Sat -> `Testable
+      | Solver.Unsat -> `Untestable
+    in
+    (* retract this fault's miter for the next one *)
+    Solver.add_clause s [ Solver.negate act ];
+    verdict
+  end
+
+let good_solver (net : N.t) =
+  let s = Solver.create () in
+  let inputs = Cnf.fresh_inputs s (Array.length net.N.inputs) in
+  (s, Cnf.add_netlist s net ~inputs)
+
+let observed_set ?observed (net : N.t) =
+  match observed with
+  | Some o -> sorted_unique o
+  | None -> sorted_unique (Array.map snd net.N.outputs)
+
+let observed_mask (net : N.t) observed =
   let is_observed = Array.make (N.num_gates net) false in
   Array.iter (fun g -> is_observed.(g) <- true) observed;
+  is_observed
+
+let testable ?observed (net : N.t) fault =
+  let s, good = good_solver net in
+  let is_observed = observed_mask net (observed_set ?observed net) in
+  miter s ~good ~readers:(N.readers net) ~is_observed net fault = `Testable
+
+(* Random-pattern pre-pass: [sim_batches] words of [N.word_bits] patterns
+   from a fixed seed.  A pattern on which some observed gate of the
+   faulty circuit differs from the good one is a test, so a class it
+   detects is testable and needs no miter.  Simulation can never show a
+   class untestable; those stay for SAT. *)
+let sim_batches = 8
+let sim_seed = 0x5a7
+let lane_mask = (1 lsl N.word_bits) - 1
+let m_sim_detected = Stc_obs.Metrics.counter "sat.redundant.sim_detected"
+
+let simulate ~jobs (net : N.t) (cl : N.collapsed) observed =
+  let rng = Stc_util.Rng.create sim_seed in
+  let batches =
+    Array.init sim_batches (fun _ ->
+        Array.map
+          (fun _ -> Int64.to_int (Stc_util.Rng.bits64 rng) land lane_mask)
+          net.N.inputs)
+  in
+  let good = Array.map (fun inputs -> N.eval net ~inputs) batches in
   let nclasses = Array.length cl.N.classes in
+  let detected = Array.make nclasses false in
+  Stc_util.Parallel.iter_range_local ~jobs
+    ~local:(fun () -> Array.make (N.num_gates net) 0)
+    nclasses
+    (fun values ci ->
+      let fault = cl.N.faults.(cl.N.representatives.(ci)) in
+      let b = ref 0 in
+      while (not detected.(ci)) && !b < sim_batches do
+        N.eval_into ~fault net ~values ~inputs:batches.(!b);
+        let gv = good.(!b) in
+        detected.(ci) <-
+          Array.exists (fun o -> (values.(o) lxor gv.(o)) land lane_mask <> 0) observed;
+        incr b
+      done);
+  detected
+
+let redundant ?(jobs = 1) ?observed (net : N.t) =
+  Trace.span ~cat:"sat" "sat.redundant" @@ fun () ->
+  let observed = observed_set ?observed net in
+  let cl = N.collapse ~protected:observed net in
+  let readers = N.readers net in
+  let is_observed = observed_mask net observed in
+  let nclasses = Array.length cl.N.classes in
+  let detected =
+    Trace.span ~cat:"sat" "sat.redundant.simulate" (fun () ->
+        simulate ~jobs net cl observed)
+  in
+  let pending =
+    List.filter (fun ci -> not detected.(ci)) (List.init nclasses Fun.id)
+    |> Array.of_list
+  in
+  Stc_obs.Metrics.add m_sim_detected (nclasses - Array.length pending);
   let untestable = Array.make nclasses false in
   let unobservable = Array.make nclasses false in
   Stc_util.Parallel.iter_range_local ~jobs
-    ~local:(fun () ->
-      let s = Solver.create () in
-      let inputs = Cnf.fresh_inputs s (Array.length net.N.inputs) in
-      let good = Cnf.add_netlist s net ~inputs in
-      (s, good))
-    nclasses
-    (fun (s, good) ci ->
+    ~local:(fun () -> lazy (good_solver net))
+    (Array.length pending)
+    (fun solver k ->
+      let ci = pending.(k) in
+      let s, good = Lazy.force solver in
       let fault = cl.N.faults.(cl.N.representatives.(ci)) in
-      let cone = N.cone ~readers net fault.N.gate in
-      let obs =
-        Array.to_list cone |> List.filter (fun g -> is_observed.(g))
-      in
-      if obs = [] then begin
-        (* the fault cannot reach any observed net: trivially untestable *)
+      match miter s ~good ~readers ~is_observed net fault with
+      | `Testable -> ()
+      | `Untestable -> untestable.(ci) <- true
+      | `Unobservable ->
         untestable.(ci) <- true;
-        unobservable.(ci) <- true
-      end
-      else begin
-        let act = Solver.pos (Solver.new_var s) in
-        let flit = add_faulty_cone s ~act ~good ~net ~fault cone in
-        let diffs =
-          List.map
-            (fun o -> Cnf.mk_xor s ~guard:act (Hashtbl.find flit o) good.(o))
-            obs
-        in
-        Solver.add_clause s (Solver.negate act :: diffs);
-        (match Solver.solve ~assumptions:[ act ] s with
-        | Solver.Sat -> ()
-        | Solver.Unsat -> untestable.(ci) <- true);
-        (* retract this fault's miter for the next one *)
-        Solver.add_clause s [ Solver.negate act ]
-      end);
+        unobservable.(ci) <- true);
   let redundant_classes = ref 0 and unobservable_classes = ref 0 in
   let idxs = ref [] in
   for ci = nclasses - 1 downto 0 do

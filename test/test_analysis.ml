@@ -349,6 +349,40 @@ let test_verify_family () =
   check_bool "selection restricts" false
     (List.exists (fun d -> d.D.code = "RED002") only_cec)
 
+(* The redundancy census of the corpus, pinned at the values measured
+   before Prove.redundant gained its random-pattern pre-pass: per machine
+   the fig. 4 netlist's redundant classes (text-parsed machine, as the
+   sign-off benchmark builds it), and the RED001 total over the corpus.
+   A filter that calls a redundant class "detected" lowers these. *)
+let census_classes =
+  [ ("dk16", 64); ("bbara", 19); ("dk14", 26); ("dk512", 20); ("tav", 15);
+    ("dk15", 19); ("dk17", 16); ("mc", 31); ("bbtas", 3); ("dk27", 3);
+    ("shiftreg", 0) ]
+
+let test_redundancy_census () =
+  let module Suite = Stc_benchmarks.Suite in
+  let module Kiss = Stc_fsm.Kiss in
+  let module Solver = Stc_core.Solver in
+  let module Realization = Stc_core.Realization in
+  let red001 =
+    List.fold_left
+      (fun total (name, want) ->
+        let spec = match Suite.find name with Some s -> s | None -> assert false in
+        let machine = Kiss.parse ~name (Kiss.print (Suite.machine spec)) in
+        let best = (Solver.solve machine).Solver.best in
+        let ctx = Context.of_realization (Realization.of_solution machine best) in
+        let fig4 =
+          (List.find (fun t -> t.Context.net_label = "fig4") ctx.Context.netlists)
+            .Context.netlist
+        in
+        check_int (name ^ " fig4 redundant classes") want
+          (Stc_sat.Prove.redundant fig4).Stc_sat.Prove.redundant_classes;
+        let diags = Stc_analysis.Verify.run ~select:[ "sat-redundant" ] ctx in
+        total + List.length (List.filter (fun d -> d.D.code = "RED001") diags))
+      0 census_classes
+  in
+  check_int "corpus RED001 total" 216 red001
+
 let test_verify_catches_bad_cover () =
   (* Seed a wrong minimized cover into a context block: CEC must refute
      it with a witness instead of certifying. *)
@@ -449,5 +483,7 @@ let () =
             test_verify_family;
           Alcotest.test_case "cec refutes a wrong cover" `Quick
             test_verify_catches_bad_cover;
+          Alcotest.test_case "corpus redundancy census" `Quick
+            test_redundancy_census;
         ] );
     ]

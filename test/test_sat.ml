@@ -210,16 +210,20 @@ let test_tseitin_faulty () =
 
 (* --- redundant-fault proofs vs. exhaustive simulation ----------------- *)
 
-(* Oracle: a fault is testable iff some input minterm flips some primary
-   output.  Every SAT verdict must agree, in both directions. *)
-let exhaustive_testable net fault =
+(* Oracle: a fault is testable iff some input minterm flips some
+   observed gate (default: the primary outputs).  Every verdict must
+   agree, in both directions. *)
+let exhaustive_testable ?observed net fault =
+  let observed =
+    match observed with Some o -> o | None -> Array.map snd net.N.outputs
+  in
   let n_in = Array.length net.N.inputs in
   let testable = ref false in
   for v = 0 to (1 lsl n_in) - 1 do
     let inputs = Array.init n_in (fun k -> (v lsr k) land 1) in
-    let good = N.eval_outputs net ~inputs in
-    let bad = N.eval_outputs ~fault net ~inputs in
-    if Array.exists2 (fun a b -> (a lxor b) land 1 <> 0) good bad then
+    let good = N.eval net ~inputs in
+    let bad = N.eval ~fault net ~inputs in
+    if Array.exists (fun g -> (good.(g) lxor bad.(g)) land 1 <> 0) observed then
       testable := true
   done;
   !testable
@@ -258,6 +262,80 @@ let test_prove_vs_sim () =
   let v = check_prove_vs_sim (redundant_net ()) in
   check_bool "found redundancy" true (List.length v.Prove.redundant > 0);
   ignore (check_prove_vs_sim (reference_net ()))
+
+(* The miter alone, on every fault site: since [redundant] now sends only
+   the classes random patterns miss to SAT, this is where the miter's Sat
+   branch is exercised. *)
+let test_testable_vs_sim () =
+  List.iter
+    (fun net ->
+      List.iter
+        (fun fault ->
+          if Prove.testable net fault <> exhaustive_testable net fault then
+            Alcotest.failf "%s: miter disagrees with simulation on gate %d"
+              net.N.name fault.N.gate)
+        (N.fault_sites net))
+    [ redundant_net (); reference_net () ]
+
+(* A small random netlist (<= 8 inputs) decoded from a seed, plus a random
+   observed set that may name internal gates. *)
+let random_net seed =
+  let rng = Stc_util.Rng.create seed in
+  let pick_n = Stc_util.Rng.int rng in
+  let b = B.create (Printf.sprintf "rand%d" seed) in
+  let n_in = 1 + pick_n 8 in
+  let gates = ref (Array.init n_in (fun k -> B.input b (Printf.sprintf "i%d" k))) in
+  if pick_n 4 = 0 then gates := Array.append !gates [| B.const b (Stc_util.Rng.bool rng) |];
+  for _ = 1 to 2 + pick_n 12 do
+    let any () = Stc_util.Rng.pick rng !gates in
+    let ops () = List.init (1 + pick_n 3) (fun _ -> any ()) in
+    let g =
+      match pick_n 6 with
+      | 0 -> B.buf b (any ())
+      | 1 -> B.not_ b (any ())
+      | 2 -> B.and_ b (ops ())
+      | 3 -> B.or_ b (ops ())
+      | 4 -> B.xor_ b (ops ())
+      | _ -> B.mux b ~sel:(any ()) ~a:(any ()) ~b:(any ())
+    in
+    gates := Array.append !gates [| g |]
+  done;
+  let ng = Array.length !gates in
+  for k = 0 to pick_n 3 do
+    B.output b (Printf.sprintf "o%d" k) !gates.(ng - 1 - pick_n (min ng 4))
+  done;
+  let net = B.finish b in
+  let observed =
+    Array.of_list
+      (List.filter (fun _ -> pick_n 3 = 0) (List.init (N.num_gates net) Fun.id))
+  in
+  let observed =
+    if observed = [||] then [| N.num_gates net - 1 |] else observed
+  in
+  (net, observed)
+
+let test_redundant_random =
+  QCheck.Test.make ~count:300
+    ~name:"redundant = miter = sim, random nets"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let net, observed = random_net seed in
+      let v1 = Prove.redundant ~jobs:1 ~observed net in
+      let v2 = Prove.redundant ~jobs:2 ~observed net in
+      if v1 <> v2 then QCheck.Test.fail_reportf "seed %d: jobs 1 and 2 differ" seed;
+      List.iter
+        (fun fault ->
+          let proved = List.mem fault v1.Prove.redundant in
+          let sat = not (Prove.testable ~observed net fault) in
+          let sim = not (exhaustive_testable ~observed net fault) in
+          if proved <> sat || sat <> sim then
+            QCheck.Test.fail_reportf
+              "seed %d: gate %d pin %s s-a-%b: redundant %b, miter %b, sim %b"
+              seed fault.N.gate
+              (match fault.N.pin with None -> "-" | Some k -> string_of_int k)
+              fault.N.stuck_at proved sat sim)
+        (N.fault_sites net);
+      true)
 
 let test_prove_jobs_deterministic () =
   let net = redundant_net () in
@@ -317,6 +395,8 @@ let () =
       ( "prove",
         [
           Alcotest.test_case "vs exhaustive sim" `Quick test_prove_vs_sim;
+          Alcotest.test_case "miter vs exhaustive sim" `Quick test_testable_vs_sim;
+          qcheck test_redundant_random;
           Alcotest.test_case "jobs deterministic" `Quick
             test_prove_jobs_deterministic;
         ] );

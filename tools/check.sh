@@ -130,6 +130,20 @@ else
 fi
 tail -n 1 "$obs_dir/perfbench.txt" | grep -q '"correct":true'
 
+echo "== sign-off benchmark gate (verify job must pass its checks, 216 proofs) =="
+# One pass of the corpus through the SAT sign-off flow: CEC, the pipeline
+# prover and the redundant-fault proofs, then the co-simulation and CLI
+# parity checks.  The corpus total of proven-untestable faults is pinned.
+if command -v timeout >/dev/null 2>&1; then
+  timeout 300 python3 perfbench/run.py --workload verify --seed 1 --seconds 1 \
+    --trace 0 > "$obs_dir/perfbench_verify.txt"
+else
+  python3 perfbench/run.py --workload verify --seed 1 --seconds 1 \
+    --trace 0 > "$obs_dir/perfbench_verify.txt"
+fi
+tail -n 1 "$obs_dir/perfbench_verify.txt" | grep -q '"correct":true'
+grep -q '^redundant_proved 216 ' "$obs_dir/perfbench_verify.txt"
+
 echo "== static lint gate (benchmark suite, --werror) =="
 # Expected-clean set: each of these machines must lint with zero errors AND
 # zero warnings; --werror turns any regression into a nonzero exit.  Keep
