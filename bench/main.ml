@@ -28,8 +28,8 @@
    - `minimize-quick`: the same checks on small machines, no file
      written - the CI gate.
    - `core`: write BENCH_core.json - the shared bit-engine kernels
-     (word SWAR ops, bitvec algebra, packed partition ops) timed against
-     the retained element-wise references, with per-row equality checks.
+     (word SWAR ops, packed partition ops) timed against the retained
+     element-wise references, with per-row equality checks.
    - `core-quick`: packed-vs-reference equivalence only, no timing
      loops, no file written - the CI gate.
    - `verify [OUT]`: write BENCH_verify.json (default OUT) - per-machine
@@ -364,7 +364,7 @@ let faultsim_row ~cycles name =
     | None -> invalid_arg name
   in
   let built = Arch.pipeline_of_machine ~cycles machine in
-  let naive = fs_instrumented (fun () -> Arch.grade ~naive:true built) in
+  let naive = fs_instrumented (fun () -> Stc_oracle.Session.grade built) in
   let opt =
     fs_instrumented (fun () -> Arch.grade ~jobs:1 ~need_cycles:false built)
   in
@@ -594,7 +594,7 @@ let minimize_row name =
   stage "naive reference";
   let naive =
     mz_instrumented (fun () ->
-        Minimize.reference ~budget:mz_naive_budget ~dc on)
+        Stc_oracle.Minimize.reference ~budget:mz_naive_budget ~dc on)
   in
   stage "verify";
   let verified_or_capped r =
@@ -727,8 +727,7 @@ let run_minimize_quick () =
 (* ------------------------------------------------------------------ *)
 
 module Word = Stc_bits.Word
-module Bitvec = Stc_bits.Bitvec
-module Reference = Stc_partition.Reference
+module Reference = Stc_oracle.Reference
 module Rng = Stc_util.Rng
 
 (* Self-calibrating ns/op: grow the repeat count until the measured
@@ -913,54 +912,7 @@ let word_rows () =
     row "ffs" ffs_loop Word.ffs;
   ]
 
-(* Bitvec set algebra vs the bool-array spec it is property-tested
-   against. *)
-let bitvec_rows n =
-  let rng = Rng.create (0xb17 + n) in
-  let bools = Array.init 64 (fun _ -> Array.init n (fun _ -> Rng.int rng 2 = 1)) in
-  let vecs = Array.map Bitvec.of_bools bools in
-  let spec_union a b = Array.init n (fun i -> a.(i) || b.(i)) in
-  let spec_count a = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 a in
-  let cursor = ref 0 in
-  let next_pair () =
-    let i = !cursor in
-    cursor := (i + 1) land 63;
-    (i, (i + 1) land 63)
-  in
-  let equal =
-    Array.for_all Fun.id
-      (Array.init 64 (fun i ->
-           let j = (i + 1) land 63 in
-           Bitvec.to_bools (Bitvec.union vecs.(i) vecs.(j))
-           = spec_union bools.(i) bools.(j)
-           && Bitvec.popcount vecs.(i) = spec_count bools.(i)))
-  in
-  cursor := 0;
-  let old_ns =
-    ns_per_op (fun () ->
-        let i, j = next_pair () in
-        consume_int := spec_count (spec_union bools.(i) bools.(j)))
-  in
-  cursor := 0;
-  let new_ns =
-    ns_per_op (fun () ->
-        let i, j = next_pair () in
-        consume_int := Bitvec.popcount (Bitvec.union vecs.(i) vecs.(j)))
-  in
-  [
-    {
-      ck_kernel = "bitvec/union+popcount";
-      ck_n = n;
-      ck_old_ns = old_ns;
-      ck_new_ns = new_ns;
-      ck_equal = equal;
-    };
-  ]
-
-let core_rows () =
-  word_rows ()
-  @ List.concat_map bitvec_rows core_sizes
-  @ List.concat_map partition_rows core_sizes
+let core_rows () = word_rows () @ List.concat_map partition_rows core_sizes
 
 let print_core_row r =
   Printf.printf "%-24s n=%-4d %s  old %10.1f ns/op  new %10.1f ns/op  %5.2fx\n%!"
@@ -1181,14 +1133,6 @@ type verify_row = {
   vr_solves : int;
 }
 
-let vr_observed_union (b : Arch.built) =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (_, obs) -> Array.iter (fun g -> Hashtbl.replace tbl g ()) obs)
-    b.Arch.sessions;
-  Array.of_list
-    (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
-
 let vr_cert_codes = [ "CEC003"; "CEC005"; "CEC007"; "NET011" ]
 
 let verify_row ~cycles name =
@@ -1207,7 +1151,7 @@ let verify_row ~cycles name =
     timed (fun () -> Verify.run ~select:[ "cec"; "net-prove" ] ctx)
   in
   let built = Arch.pipeline_of_machine ~cycles machine in
-  let observed = vr_observed_union built in
+  let observed = Session.observed_union built.Arch.sessions in
   let v1, red_wall =
     timed (fun () -> Prove.redundant ~jobs:1 ~observed built.Arch.netlist)
   in

@@ -74,6 +74,21 @@ let jobs_arg =
 let resolve_jobs jobs =
   if jobs <= 0 then Domain.recommended_domain_count () else jobs
 
+(* Session and sequence lengths size arrays, so a negative value must be a
+   usage error, not an uncaught [Invalid_argument] deep in the grader. *)
+let non_negative_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 ->
+      Error (`Msg (Printf.sprintf "expected a non-negative integer, got %d" n))
+    | r -> r
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
+let cycles_arg ~default ~doc =
+  Arg.(value & opt non_negative_int default
+       & info [ "cycles" ] ~docv:"N" ~doc)
+
 let names_arg =
   let doc = "Comma-separated machine names (default: the usual set)." in
   Arg.(value & opt (some string) None & info [ "names" ] ~docv:"NAMES" ~doc)
@@ -537,10 +552,7 @@ let faultcov_cmd =
     in
     print_string (Experiments.render_coverage entries)
   in
-  let cycles =
-    Arg.(value & opt int 1024
-         & info [ "cycles" ] ~docv:"N" ~doc:"Self-test session length.")
-  in
+  let cycles = cycles_arg ~default:1024 ~doc:"Self-test session length." in
   Cmd.v
     (Cmd.info "faultcov"
        ~doc:
@@ -557,10 +569,7 @@ let testlen_cmd =
     in
     print_string (Experiments.render_strategies entries)
   in
-  let cycles =
-    Arg.(value & opt int 1024
-         & info [ "cycles" ] ~docv:"N" ~doc:"Pattern / sequence budget.")
-  in
+  let cycles = cycles_arg ~default:1024 ~doc:"Pattern / sequence budget." in
   Cmd.v
     (Cmd.info "testlen"
        ~doc:
@@ -607,10 +616,7 @@ let aliasing_cmd =
     in
     print_string (Experiments.render_aliasing entries)
   in
-  let cycles =
-    Arg.(value & opt int 512
-         & info [ "cycles" ] ~docv:"N" ~doc:"Patterns per session.")
-  in
+  let cycles = cycles_arg ~default:512 ~doc:"Patterns per session." in
   Cmd.v
     (Cmd.info "aliasing"
        ~doc:
@@ -649,10 +655,7 @@ let selftest_cmd =
       (100.0 *. merged.Session.coverage)
       merged.Session.detected merged.Session.total
   in
-  let cycles =
-    Arg.(value & opt int 1024
-         & info [ "cycles" ] ~docv:"N" ~doc:"Patterns per session.")
-  in
+  let cycles = cycles_arg ~default:1024 ~doc:"Patterns per session." in
   Cmd.v
     (Cmd.info "selftest"
        ~doc:"Run the two-session self-test of the pipeline structure.")

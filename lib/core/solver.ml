@@ -488,31 +488,3 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
         timed_out = Atomic.get timed_out;
       };
   }
-
-let solve_exhaustive (machine : Machine.t) =
-  let next = machine.next in
-  let n = machine.num_states in
-  let equiv = equivalence_partition machine in
-  (* Streamed: Bell(n)^2 pairs are visited but never materialized, so the
-     memory ceiling of the old list-based enumeration is gone. *)
-  let all = Stc_partition.Enumerate.partitions n in
-  let best = ref None in
-  Seq.iter
-    (fun pi ->
-      Seq.iter
-        (fun rho ->
-          if
-            Pair.is_symmetric_pair ~next pi rho
-            && Partition.meet_subseteq pi rho equiv
-          then begin
-            let cost = cost_of machine ~pi ~rho in
-            let sol = { pi; rho; cost } in
-            match !best with
-            | None -> best := Some sol
-            | Some b -> if compare_cost cost b.cost < 0 then best := Some sol
-          end)
-        all)
-    all;
-  match !best with
-  | Some sol -> sol
-  | None -> assert false (* (identity, identity) is always admissible *)

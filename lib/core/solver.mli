@@ -96,14 +96,6 @@ val solve :
   Stc_fsm.Machine.t ->
   result
 
-(** [solve_exhaustive machine] enumerates {e all} partition pairs by brute
-    force over every partition of the state set (Bell-number cost!) and
-    returns the optimum.  The enumeration streams
-    ({!Stc_partition.Enumerate.partitions}), so memory stays flat; run
-    time makes ~9 states the practical ceiling for the [Bell(n)^2] pair
-    scan.  Oracle for testing [solve]. *)
-val solve_exhaustive : Stc_fsm.Machine.t -> solution
-
 (** [cost_of machine ~pi ~rho] computes the cost record of a candidate
     pair. *)
 val cost_of : Stc_fsm.Machine.t -> pi:Partition.t -> rho:Partition.t -> cost

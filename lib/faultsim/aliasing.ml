@@ -9,17 +9,6 @@ type report = {
   misr_width : int;
 }
 
-(* Observed gate values of one cycle, packed MSB-first into a word for the
-   MISR (truncated to its width - wider observation buses fold, which only
-   makes aliasing more likely, i.e. the measurement conservative). *)
-let observe_word values observed ~width =
-  let word = ref 0 in
-  Array.iteri
-    (fun k g ->
-      if k < width then word := (!word lsl 1) lor (values.(g) land 1))
-    observed;
-  !word
-
 let truncate_sessions ?cycles (built : Arch.built) =
   List.map
     (fun (stimuli, observed) ->
@@ -36,50 +25,18 @@ let misr_width sessions =
     (fun acc (_, observed) -> max acc (min 32 (Array.length observed)))
     1 sessions
 
-(* Reference implementation: every fault replays every session with a full
-   netlist evaluation per cycle. *)
-let measure_naive ~sessions ~width (net : Netlist.t) =
-  (* Per fault and session: (stream differs, final signature). *)
-  let run_session ?fault (stimuli, observed) =
-    let misr = Misr.create ~width ~seed:0 () in
-    let trace = Array.make (Array.length stimuli) 0 in
-    Array.iteri
-      (fun cycle vec ->
-        let values = Netlist.eval ?fault net ~inputs:vec in
-        let word = observe_word values observed ~width in
-        trace.(cycle) <- word;
-        ignore (Misr.absorb misr word))
-      stimuli;
-    (trace, Misr.signature misr)
-  in
-  let golden = List.map (fun session -> run_session session) sessions in
-  let faults = Netlist.fault_sites net in
-  let stream_detected = ref 0
-  and signature_detected = ref 0
-  and aliased = ref 0 in
-  List.iter
-    (fun fault ->
-      let stream = ref false and signature = ref false in
-      List.iter2
-        (fun session (golden_trace, golden_sig) ->
-          let trace, sig_ = run_session ~fault session in
-          if trace <> golden_trace then stream := true;
-          if sig_ <> golden_sig then signature := true)
-        sessions golden;
-      if !stream then incr stream_detected;
-      if !signature then incr signature_detected;
-      if !stream && not !signature then incr aliased)
-    faults;
-  (List.length faults, !stream_detected, !signature_detected, !aliased)
-
-(* Engine-backed implementation: the packed golden responses are computed
-   once per session (instead of once per fault per session) and each
-   fault's observed words come from a cone-limited incremental
-   re-evaluation of one collapsed representative. *)
-let measure_fast ~jobs ~sessions ~width (net : Netlist.t) =
-  (* The MISR only sees the first [width] observed gates - truncate the
-     observation sets so the engine's difference verdicts line up with the
-     stream words exactly. *)
+(* The packed golden responses are computed once per session (instead of
+   once per fault per session) and each fault's observed words come from a
+   cone-limited incremental re-evaluation of one collapsed
+   representative. *)
+let measure ?cycles ?(jobs = 1) (built : Arch.built) =
+  let sessions = truncate_sessions ?cycles built in
+  let width = misr_width sessions in
+  (* The MISR only sees the first [width] observed gates (wider
+     observation buses fold, which only makes aliasing more likely, i.e.
+     the measurement conservative) - truncate the observation sets so the
+     engine's difference verdicts line up with the stream words
+     exactly. *)
   let sessions =
     List.map
       (fun (stimuli, observed) ->
@@ -90,16 +47,10 @@ let measure_fast ~jobs ~sessions ~width (net : Netlist.t) =
         (stimuli, observed))
       sessions
   in
-  let protected =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (_, observed) ->
-        Array.iter (fun g -> Hashtbl.replace tbl g ()) observed)
-      sessions;
-    Array.of_list
-      (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
+  let eng =
+    Engine.create ~protected:(Session.observed_union sessions)
+      built.Arch.netlist
   in
-  let eng = Engine.create ~protected net in
   let cl = Engine.collapsed eng in
   let w = Netlist.word_bits in
   let packed_sessions =
@@ -127,45 +78,31 @@ let measure_fast ~jobs ~sessions ~width (net : Netlist.t) =
   in
   let num_classes = Array.length cl.Netlist.representatives in
   let verdicts = Array.make num_classes (false, false) in
-  let cursor = Atomic.make 0 in
-  let worker () =
-    let scr = Engine.scratch eng in
-    let rec loop () =
-      let ci = Atomic.fetch_and_add cursor 1 in
-      if ci < num_classes then begin
-        let fault = cl.Netlist.faults.(cl.Netlist.representatives.(ci)) in
-        let stream = ref false and signature = ref false in
-        List.iter2
-          (fun (p, g, observed) golden_sig ->
-            let misr = Misr.create ~width ~seed:0 () in
-            let into = Array.make (Array.length observed) 0 in
-            for b = 0 to Engine.num_batches p - 1 do
-              if Engine.response eng scr g p ~batch:b fault ~observed ~into
-              then stream := true;
-              let valid = min w (p.Engine.cycles - (b * w)) in
-              for lane = 0 to valid - 1 do
-                let word = ref 0 in
-                Array.iter
-                  (fun wd -> word := (!word lsl 1) lor ((wd lsr lane) land 1))
-                  into;
-                ignore (Misr.absorb misr !word)
-              done
-            done;
-            if Misr.signature misr <> golden_sig then signature := true)
-          packed_sessions golden_sigs;
-        verdicts.(ci) <- (!stream, !signature);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let jobs = max 1 (min jobs (max 1 num_classes)) in
-  if jobs = 1 then worker ()
-  else begin
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains
-  end;
+  Stc_util.Parallel.iter_range_local ~jobs
+    ~local:(fun () -> Engine.scratch eng)
+    num_classes
+    (fun scr ci ->
+      let fault = cl.Netlist.faults.(cl.Netlist.representatives.(ci)) in
+      let stream = ref false and signature = ref false in
+      List.iter2
+        (fun (p, g, observed) golden_sig ->
+          let misr = Misr.create ~width ~seed:0 () in
+          let into = Array.make (Array.length observed) 0 in
+          for b = 0 to Engine.num_batches p - 1 do
+            if Engine.response eng scr g p ~batch:b fault ~observed ~into
+            then stream := true;
+            let valid = min w (p.Engine.cycles - (b * w)) in
+            for lane = 0 to valid - 1 do
+              let word = ref 0 in
+              Array.iter
+                (fun wd -> word := (!word lsl 1) lor ((wd lsr lane) land 1))
+                into;
+              ignore (Misr.absorb misr !word)
+            done
+          done;
+          if Misr.signature misr <> golden_sig then signature := true)
+        packed_sessions golden_sigs;
+      verdicts.(ci) <- (!stream, !signature));
   (* Equivalent faults produce identical observed traces, hence identical
      signatures: weight each class verdict by its raw member count. *)
   let stream_detected = ref 0
@@ -178,24 +115,13 @@ let measure_fast ~jobs ~sessions ~width (net : Netlist.t) =
       if signature then signature_detected := !signature_detected + members;
       if stream && not signature then aliased := !aliased + members)
     verdicts;
-  (Array.length cl.Netlist.faults, !stream_detected, !signature_detected,
-   !aliased)
-
-let measure ?cycles ?(jobs = 1) ?(naive = false) (built : Arch.built) =
-  let net = built.Arch.netlist in
-  let sessions = truncate_sessions ?cycles built in
-  let width = misr_width sessions in
-  let total, stream_detected, signature_detected, aliased =
-    if naive then measure_naive ~sessions ~width net
-    else measure_fast ~jobs ~sessions ~width net
-  in
   {
-    total;
-    stream_detected;
-    signature_detected;
-    aliased;
+    total = Array.length cl.Netlist.faults;
+    stream_detected = !stream_detected;
+    signature_detected = !signature_detected;
+    aliased = !aliased;
     aliasing_rate =
-      (if stream_detected = 0 then 0.0
-       else float_of_int aliased /. float_of_int stream_detected);
+      (if !stream_detected = 0 then 0.0
+       else float_of_int !aliased /. float_of_int !stream_detected);
     misr_width = width;
   }

@@ -24,9 +24,8 @@ type report = {
     (typically {!Arch.pipeline}); [cycles] truncates each session's
     stimuli (default: use them all).
 
-    By default the packed golden responses are computed once per session
-    and each fault replays only its output cone through the collapsed
-    {!Engine} (one representative per class, verdicts weighted by class
-    size); [jobs] (default 1) shards the classes over domains.  [naive]
-    restores the reference full-replay-per-fault measurement. *)
-val measure : ?cycles:int -> ?jobs:int -> ?naive:bool -> Arch.built -> report
+    The packed golden responses are computed once per session and each
+    fault replays only its output cone through the collapsed {!Engine}
+    (one representative per class, verdicts weighted by class size);
+    [jobs] (default 1) shards the classes over domains. *)
+val measure : ?cycles:int -> ?jobs:int -> Arch.built -> report

@@ -325,8 +325,8 @@ let pipeline ?(cycles = 1024) ?jobs ?covers (p : Tables.pipeline) =
 let pipeline_of_machine ?cycles ?timeout ?jobs machine =
   pipeline ?cycles ?jobs (Tables.pipeline_of_machine ?timeout ?jobs machine)
 
-let grade ?jobs ?naive ?need_cycles built =
-  Session.run_sessions ?jobs ?naive ?need_cycles ~label:built.label
+let grade ?jobs ?need_cycles built =
+  Session.run_sessions ?jobs ?need_cycles ~label:built.label
     built.netlist built.sessions
 
 let undetected_by_tag built (report : Session.report) =

@@ -66,10 +66,8 @@ val pipeline_of_machine :
   ?cycles:int -> ?timeout:float -> ?jobs:int -> Stc_fsm.Machine.t -> built
 
 (** [grade built] runs all sessions and merges the verdicts
-    ({!Session.run_sessions}); [jobs]/[naive]/[need_cycles] are passed
-    through. *)
-val grade :
-  ?jobs:int -> ?naive:bool -> ?need_cycles:bool -> built -> Session.report
+    ({!Session.run_sessions}); [jobs]/[need_cycles] are passed through. *)
+val grade : ?jobs:int -> ?need_cycles:bool -> built -> Session.report
 
 (** [undetected_by_tag built report] buckets the undetected faults by tag
     name ("other" when untagged). *)

@@ -2,7 +2,7 @@ module Metrics = Stc_obs.Metrics
 module Clock = Stc_util.Clock
 module Word = Stc_bits.Word
 module Arena = Stc_bits.Arena
-module Parallel = Stc_bits.Parallel
+module Parallel = Stc_util.Parallel
 
 type stimuli = int array array
 

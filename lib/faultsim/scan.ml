@@ -9,7 +9,7 @@ type result = {
   extra_muxes : int;
 }
 
-let run ?jobs ?naive ?(patterns = 1024) machine =
+let run ?jobs ?(patterns = 1024) machine =
   let built = Arch.conventional machine in
   let net = built.Arch.netlist in
   let enc = Tables.encode machine in
@@ -25,7 +25,7 @@ let run ?jobs ?naive ?(patterns = 1024) machine =
   in
   let observed = Array.map snd net.Netlist.outputs in
   let report =
-    Session.run ?jobs ?naive
+    Session.run ?jobs
       ~label:(machine.Stc_fsm.Machine.name ^ " scan")
       net ~stimuli ~observed
   in

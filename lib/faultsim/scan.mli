@@ -24,6 +24,6 @@ type result = {
 }
 
 (** [run ?patterns machine] grades the fig. 1 netlist under [patterns]
-    (default 1024) pseudo-random scan patterns; [jobs]/[naive] as in
+    (default 1024) pseudo-random scan patterns; [jobs] as in
     {!Session.run}. *)
-val run : ?jobs:int -> ?naive:bool -> ?patterns:int -> Stc_fsm.Machine.t -> result
+val run : ?jobs:int -> ?patterns:int -> Stc_fsm.Machine.t -> result

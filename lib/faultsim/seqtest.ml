@@ -15,7 +15,7 @@ let lane_mask = (1 lsl Netlist.word_bits) - 1
 let code_bit_word ~width code k =
   if code land (1 lsl (width - 1 - k)) <> 0 then lane_mask else 0
 
-let run ?(seed = 20240705) ?(jobs = 1) ?(naive = false) ~cycles ~state_width
+let run ?(seed = 20240705) ?(jobs = 1) ~cycles ~state_width
     ~reset_code (net : Netlist.t) =
   let num_inputs = Array.length net.Netlist.inputs in
   if num_inputs <= state_width then
@@ -86,68 +86,35 @@ let run ?(seed = 20240705) ?(jobs = 1) ?(naive = false) ~cycles ~state_width
         !differs)
       ()
   in
-  let total, detected, detections =
-    if naive then begin
-      let faults = Netlist.fault_sites net in
-      let detections = ref [] and detected = ref 0 in
-      List.iter
-        (fun fault ->
-          match first_detect ~values:gvalues ~inputs:ginputs fault with
-          | Some cycle ->
-            incr detected;
-            detections := cycle :: !detections
-          | None -> ())
-        faults;
-      (List.length faults, !detected, !detections)
-    end
-    else begin
-      (* Both the primary outputs and the fed-back next-state lines must
-         stay distinct under collapsing: equivalent faults then share the
-         exact same state evolution and first-detection cycle, so one
-         simulation per class is exact for every member. *)
-      let cl =
-        Netlist.collapse ~protected:(Array.append ns_gates po_gates) net
-      in
-      let num_classes = Array.length cl.Netlist.representatives in
-      let hits = Array.make num_classes None in
-      let cursor = Atomic.make 0 in
-      let worker () =
-        let values = Array.make num_gates 0 in
-        let inputs = Array.make num_inputs 0 in
-        let rec loop () =
-          let c = Atomic.fetch_and_add cursor 1 in
-          if c < num_classes then begin
-            hits.(c) <-
-              first_detect ~values ~inputs
-                cl.Netlist.faults.(cl.Netlist.representatives.(c));
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let jobs = max 1 (min jobs (max 1 num_classes)) in
-      if jobs = 1 then worker ()
-      else begin
-        let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-        worker ();
-        List.iter Domain.join domains
-      end;
-      let detections = ref [] and detected = ref 0 in
-      Array.iteri
-        (fun c hit ->
-          match hit with
-          | Some cycle ->
-            let members = Array.length cl.Netlist.classes.(c) in
-            detected := !detected + members;
-            for _ = 1 to members do
-              detections := cycle :: !detections
-            done
-          | None -> ())
-        hits;
-      (Array.length cl.Netlist.faults, !detected, !detections)
-    end
-  in
-  let detection_cycles = Array.of_list detections in
+  (* Both the primary outputs and the fed-back next-state lines must stay
+     distinct under collapsing: equivalent faults then share the exact
+     same state evolution and first-detection cycle, so one simulation
+     per class is exact for every member. *)
+  let cl = Netlist.collapse ~protected:(Array.append ns_gates po_gates) net in
+  let num_classes = Array.length cl.Netlist.representatives in
+  let hits = Array.make num_classes None in
+  Stc_util.Parallel.iter_range_local ~jobs
+    ~local:(fun () -> (Array.make num_gates 0, Array.make num_inputs 0))
+    num_classes
+    (fun (values, inputs) c ->
+      hits.(c) <-
+        first_detect ~values ~inputs
+          cl.Netlist.faults.(cl.Netlist.representatives.(c)));
+  let detections = ref [] and detected = ref 0 in
+  Array.iteri
+    (fun c hit ->
+      match hit with
+      | Some cycle ->
+        let members = Array.length cl.Netlist.classes.(c) in
+        detected := !detected + members;
+        for _ = 1 to members do
+          detections := cycle :: !detections
+        done
+      | None -> ())
+    hits;
+  let total = Array.length cl.Netlist.faults in
+  let detected = !detected in
+  let detection_cycles = Array.of_list !detections in
   Array.sort compare detection_cycles;
   {
     total;
@@ -158,11 +125,11 @@ let run ?(seed = 20240705) ?(jobs = 1) ?(naive = false) ~cycles ~state_width
     cycles;
   }
 
-let run_conventional ?seed ?jobs ?naive ?(cycles = 2048) machine =
+let run_conventional ?seed ?jobs ?(cycles = 2048) machine =
   let built = Arch.conventional machine in
   let enc = Tables.encode machine in
   let code = enc.Tables.state_code in
-  run ?seed ?jobs ?naive ~cycles ~state_width:code.Stc_encoding.Code.width
+  run ?seed ?jobs ~cycles ~state_width:code.Stc_encoding.Code.width
     ~reset_code:code.Stc_encoding.Code.codes.(machine.Stc_fsm.Machine.reset)
     built.Arch.netlist
 

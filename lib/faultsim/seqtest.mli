@@ -30,17 +30,15 @@ type result = {
     state register is [state_width] bits wide and starts at the reset
     code; only the primary outputs are observed.
 
-    By default faults are structurally collapsed (next-state and output
-    lines protected, so classes share the exact state evolution and
-    first-detection cycle) and sharded over [jobs] domains (default 1);
-    [naive] grades the raw fault list serially as the reference.  Cone
-    limiting and dominance do not apply to sequential simulation.
+    Faults are structurally collapsed (next-state and output lines
+    protected, so classes share the exact state evolution and
+    first-detection cycle) and sharded over [jobs] domains (default 1).
+    Cone limiting and dominance do not apply to sequential simulation.
 
     @raise Invalid_argument if the netlist shape does not match. *)
 val run :
   ?seed:int ->
   ?jobs:int ->
-  ?naive:bool ->
   cycles:int ->
   state_width:int ->
   reset_code:int ->
@@ -50,8 +48,7 @@ val run :
 (** [run_conventional ?seed ?cycles machine] builds the fig. 1 structure
     and grades it. *)
 val run_conventional :
-  ?seed:int -> ?jobs:int -> ?naive:bool -> ?cycles:int ->
-  Stc_fsm.Machine.t -> result
+  ?seed:int -> ?jobs:int -> ?cycles:int -> Stc_fsm.Machine.t -> result
 
 (** [cycles_to_coverage result fraction] is the sequence length after
     which [fraction] of the {e detected} faults had been found, or [None]

@@ -13,15 +13,6 @@ type report = {
 
 let pack stimuli = Array.to_list (Engine.pack stimuli).Engine.words
 
-(* Same registered counter as the engine's, so naive and optimized runs
-   report gate evaluations on a common scale. *)
-let m_gate_evals = Metrics.counter "faultsim.gate_evals"
-
-let observe netlist ?fault ~inputs observed =
-  let values = Netlist.eval ?fault netlist ~inputs in
-  Metrics.add m_gate_evals (Netlist.num_gates netlist);
-  Array.map (fun g -> values.(g)) observed
-
 (* Coverage-over-patterns histogram for one session: each detected fault
    contributes its first detection cycle, so the cumulative counts show
    how coverage accumulates as the LFSR stream lengthens. *)
@@ -48,79 +39,24 @@ let report ~label ~total ~detected ~undetected =
     undetected;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Naive reference grader: full netlist evaluation per fault per batch  *)
-(* ------------------------------------------------------------------ *)
-
-let grade_naive ?on_detect netlist ~(packed : Engine.packed) ~observed faults =
-  let golden =
-    Array.map (fun inputs -> observe netlist ~inputs observed) packed.Engine.words
-  in
-  let w = Netlist.word_bits in
-  let nb = Engine.num_batches packed in
-  let undetected = ref [] and detected = ref 0 in
-  List.iter
-    (fun fault ->
-      let rec try_batches b =
-        if b >= nb then false
-        else begin
-          let faulty =
-            observe netlist ~fault ~inputs:packed.Engine.words.(b) observed
-          in
-          let g = golden.(b) and m = packed.Engine.masks.(b) in
-          let diff = ref 0 in
-          Array.iteri
-            (fun k v -> diff := !diff lor ((v lxor g.(k)) land m))
-            faulty;
-          if !diff <> 0 then begin
-            (match on_detect with
-            | Some f -> f ~cycle:((b * w) + Engine.first_lane !diff)
-            | None -> ());
-            true
-          end
-          else try_batches (b + 1)
-        end
-      in
-      if try_batches 0 then incr detected
-      else undetected := fault :: !undetected)
-    faults;
-  (!detected, List.rev !undetected)
-
-let run_sessions_naive ~label netlist sessions =
-  let faults = Netlist.fault_sites netlist in
-  let total = List.length faults in
-  let remaining = ref faults and detected = ref 0 in
-  List.iter2
-    (fun session_label (stimuli, observed) ->
-      Trace.span ~cat:"faultsim" ("session:" ^ session_label) @@ fun () ->
-      let packed = Engine.pack stimuli in
-      let hist = detect_histogram session_label in
-      let d, undetected =
-        grade_naive ~on_detect:(observe_detect hist) netlist ~packed ~observed
-          !remaining
-      in
-      detected := !detected + d;
-      remaining := undetected)
-    (List.mapi (fun k _ -> Printf.sprintf "%s.s%d" label (k + 1)) sessions)
-    sessions;
-  report ~label ~total ~detected:!detected ~undetected:!remaining
-
-(* ------------------------------------------------------------------ *)
-(* Fast path: collapsed classes + cone-limited eval + fault-parallel    *)
-(* ------------------------------------------------------------------ *)
-
-let union_observed sessions =
+let observed_union sessions =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (_, observed) ->
       Array.iter (fun g -> Hashtbl.replace tbl g ()) observed)
     sessions;
-  Array.of_list (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
+  Array.of_list
+    (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
 
-let run_sessions_fast ~jobs ~need_cycles ~session_labels netlist sessions =
+(* Collapsed classes + cone-limited eval + fault-parallel domains; a
+   fault counts as detected when any session detects it. *)
+let grade ?(jobs = 1) ?need_cycles ~label ~session_labels netlist sessions =
+  let need_cycles =
+    match need_cycles with Some b -> b | None -> Metrics.enabled ()
+  in
   (* Protect every gate any session observes: equivalences must never fold
      a fault across an observation point. *)
-  let eng = Engine.create ~protected:(union_observed sessions) netlist in
+  let eng = Engine.create ~protected:(observed_union sessions) netlist in
   let cl = Engine.collapsed eng in
   let faults = cl.Netlist.faults in
   let num_classes = Array.length cl.Netlist.representatives in
@@ -156,47 +92,19 @@ let run_sessions_fast ~jobs ~need_cycles ~session_labels netlist sessions =
     if active.(cl.Netlist.class_of.(i)) then
       undetected := faults.(i) :: !undetected
   done;
-  (!detected, !undetected, Array.length faults)
+  report ~label ~total:(Array.length faults) ~detected:!detected
+    ~undetected:!undetected
 
-let defaults ?(jobs = 1) ?(naive = false) ?need_cycles () =
-  let need_cycles =
-    match need_cycles with Some b -> b | None -> Metrics.enabled ()
-  in
-  (jobs, naive, need_cycles)
+let run ?jobs ?need_cycles ~label netlist ~stimuli ~observed =
+  grade ?jobs ?need_cycles ~label ~session_labels:[ label ] netlist
+    [ (stimuli, observed) ]
 
-let run ?jobs ?naive ?need_cycles ~label netlist ~stimuli ~observed =
-  let jobs, naive, need_cycles = defaults ?jobs ?naive ?need_cycles () in
-  if naive then
-    Trace.span ~cat:"faultsim" ("session:" ^ label) @@ fun () ->
-    let faults = Netlist.fault_sites netlist in
-    let packed = Engine.pack stimuli in
-    let hist = detect_histogram label in
-    let detected, undetected =
-      grade_naive ~on_detect:(observe_detect hist) netlist ~packed ~observed
-        faults
-    in
-    report ~label ~total:(List.length faults) ~detected ~undetected
-  else begin
-    let detected, undetected, total =
-      run_sessions_fast ~jobs ~need_cycles ~session_labels:[ label ] netlist
-        [ (stimuli, observed) ]
-    in
-    report ~label ~total ~detected ~undetected
-  end
-
-let run_sessions ?jobs ?naive ?need_cycles ~label netlist sessions =
-  let jobs, naive, need_cycles = defaults ?jobs ?naive ?need_cycles () in
+let run_sessions ?jobs ?need_cycles ~label netlist sessions =
   Trace.span ~cat:"faultsim" ("sessions:" ^ label) @@ fun () ->
-  if naive then run_sessions_naive ~label netlist sessions
-  else begin
-    let session_labels =
-      List.mapi (fun k _ -> Printf.sprintf "%s.s%d" label (k + 1)) sessions
-    in
-    let detected, undetected, total =
-      run_sessions_fast ~jobs ~need_cycles ~session_labels netlist sessions
-    in
-    report ~label ~total ~detected ~undetected
-  end
+  grade ?jobs ?need_cycles ~label
+    ~session_labels:
+      (List.mapi (fun k _ -> Printf.sprintf "%s.s%d" label (k + 1)) sessions)
+    netlist sessions
 
 let adjusted (r : report) ~redundant =
   let tbl = Hashtbl.create 64 in

@@ -6,11 +6,12 @@
     fault is detected when any observed net differs from the fault-free
     value in any cycle.
 
-    Grading runs on the optimized {!Engine} by default - structurally
-    collapsed fault classes, cone-limited incremental evaluation, and
-    optional fault-parallel domains - and is detect-for-detect identical
-    to the naive full-evaluation grader, which is kept behind [~naive]
-    as the reference for equivalence tests and benchmarks.
+    Grading runs on the optimized {!Engine} - structurally collapsed
+    fault classes, cone-limited incremental evaluation, and optional
+    fault-parallel domains.  It is detect-for-detect identical to a naive
+    grader that evaluates the whole netlist per fault per batch; that
+    reference is [Stc_oracle.Session], in the test-only [stc_oracle]
+    library the equivalence tests and benchmarks link.
 
     Two deliberate modelling simplifications, both conservative:
     - compression aliasing is ignored (streams are compared directly, as
@@ -36,14 +37,12 @@ type report = {
     word and faults are dropped at first detection.
 
     [jobs] (default 1) shards the collapsed fault list over that many
-    domains.  [naive] (default false) switches to the reference
-    full-evaluation grader.  [need_cycles] asks for exact first-detection
+    domains.  [need_cycles] asks for exact first-detection
     cycles (feeding the [faultsim.detect_cycle.*] histograms) at the cost
     of the dominance shortcut and early-exit scans; it defaults to
     [Stc_obs.Metrics.enabled ()] so instrumented runs stay exact. *)
 val run :
   ?jobs:int ->
-  ?naive:bool ->
   ?need_cycles:bool ->
   label:string ->
   Netlist.t ->
@@ -57,12 +56,22 @@ val run :
     {!run}. *)
 val run_sessions :
   ?jobs:int ->
-  ?naive:bool ->
   ?need_cycles:bool ->
   label:string ->
   Netlist.t ->
   (stimuli * int array) list ->
   report
+
+(** [observed_union sessions] is the sorted, duplicate-free set of gates
+    observed by any of [sessions]: the observation points fault
+    collapsing must protect and the redundancy prover must watch. *)
+val observed_union : (stimuli * int array) list -> int array
+
+(** [detect_histogram label] is the [faultsim.detect_cycle.<label>]
+    histogram (non-alphanumeric label characters become [_]) that
+    grading fills with one first-detection cycle (1-based) per detected
+    raw fault. *)
+val detect_histogram : string -> Stc_obs.Metrics.histogram
 
 (** [pack stimuli] transposes a cycle-major 0/1 matrix into word-parallel
     batches: one [int array] of input words per group of

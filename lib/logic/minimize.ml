@@ -401,11 +401,3 @@ let minimize ?(jobs = 1) ?dc on =
   ( !best,
     { initial_cubes; initial_literals; final_cubes; final_literals;
       iterations = !iterations } )
-
-let reference ?budget ?dc on =
-  let initial_cubes, initial_literals = Cover.cost on in
-  let result, iterations = Naive.minimize ?budget ?dc on in
-  let final_cubes, final_literals = Cover.cost result in
-  ( result,
-    { initial_cubes; initial_literals; final_cubes; final_literals;
-      iterations } )

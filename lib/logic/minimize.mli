@@ -42,14 +42,6 @@ type report = {
     on+dc, and is irredundant. *)
 val minimize : ?jobs:int -> ?dc:Cover.t -> Cover.t -> Cover.t * report
 
-(** [reference ?budget ?dc on] is the original list-based minimizer
-    retained in {!Naive}, with the same result contract as {!minimize}
-    (the covers are semantically equivalent, not cube-identical).
-    Benchmarks and the equivalence suite cross-check against it.
-    [budget] caps the wall-clock seconds; exceeding it raises
-    {!Naive.Timeout}. *)
-val reference : ?budget:float -> ?dc:Cover.t -> Cover.t -> Cover.t * report
-
 (** [expand ?jobs ~off cover] raises each cube to a prime cube: columns
     and outputs are lifted, cheapest first, as long as the cube stays
     disjoint from the off-set [off]; then single-cube containment cleans

@@ -1,3 +1,5 @@
+module Partition = Stc_partition.Partition
+
 (* Restricted growth strings: element 0 gets class 0; element s may take any
    class in [0 .. 1 + max of previous classes]. *)
 

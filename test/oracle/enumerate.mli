@@ -10,12 +10,12 @@
     set by run time, not memory: streaming all of [n = 14]
     (B(14) = 190899322) takes minutes, [n = 12] seconds.
     @raise Invalid_argument when [n < 1] or [n > 20]. *)
-val partitions : int -> Partition.t Seq.t
+val partitions : int -> Stc_partition.Partition.t Seq.t
 
 (** [all n] lists every partition of [{0..n-1}], i.e. [Bell(n)] values,
     materialized.  Prefer {!partitions} for anything above [n = 8].
     @raise Invalid_argument when [n < 1] or [n > 12]. *)
-val all : int -> Partition.t list
+val all : int -> Stc_partition.Partition.t list
 
 (** [bell n] is the Bell number [B(n)] (number of partitions). *)
 val bell : int -> int

@@ -1,7 +1,7 @@
 (** Element-wise reference kernels over raw class maps: the
-    implementation {!Partition} used before the packed-row rewrite,
-    retained as the executable specification for equivalence property
-    tests and the old side of [bench core].
+    implementation {!Stc_partition.Partition} used before the packed-row
+    rewrite, retained as the executable specification for equivalence
+    property tests and the old side of [bench core].
 
     All functions take class maps as plain [int array]s (ids need not be
     dense) and return canonical class maps (dense ids by first
@@ -26,5 +26,5 @@ val join : int array -> int array -> int array
 val subseteq : int array -> int array -> bool
 
 (** [hash_class_map n cls] is the old full-width FNV mix over the class
-    map - the hash {!Partition.hash} cached before the rewrite. *)
+    map - the hash {!Stc_partition.Partition.hash} cached before the rewrite. *)
 val hash_class_map : int -> int array -> int

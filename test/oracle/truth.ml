@@ -1,3 +1,5 @@
+module Cover = Stc_logic.Cover
+
 let table cover =
   let n = cover.Cover.num_vars in
   if n > 16 then invalid_arg "Truth.table: too many variables";

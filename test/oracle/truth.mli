@@ -4,15 +4,16 @@
 (** [table cover] evaluates every input minterm; [table cover].(v).(o) is
     output [o] on minterm [v].
     @raise Invalid_argument beyond 16 variables. *)
-val table : Cover.t -> bool array array
+val table : Stc_logic.Cover.t -> bool array array
 
 (** [equivalent a b] compares two covers minterm by minterm. *)
-val equivalent : Cover.t -> Cover.t -> bool
+val equivalent : Stc_logic.Cover.t -> Stc_logic.Cover.t -> bool
 
 (** [equivalent_with_dc ~on ~dc result] checks the minimization contract
     [(on \ dc) <= result <= on + dc] minterm by minterm (don't-cares take
     precedence where the two sets overlap, as in espresso). *)
-val equivalent_with_dc : on:Cover.t -> dc:Cover.t -> Cover.t -> bool
+val equivalent_with_dc :
+  on:Stc_logic.Cover.t -> dc:Stc_logic.Cover.t -> Stc_logic.Cover.t -> bool
 
 (** [count_ones cover o] counts the minterms asserting output [o]. *)
-val count_ones : Cover.t -> int -> int
+val count_ones : Stc_logic.Cover.t -> int -> int

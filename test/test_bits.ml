@@ -2,12 +2,10 @@
 
    The Word tests pin the SWAR kernels against the bit-serial loops they
    replaced at their former call sites (bist parity feedback, encoding
-   popcount, faultsim first_lane), verbatim.  Bitvec is checked against a
-   naive bool-array spec.  Arena.Stamped's epoch semantics get direct
-   unit tests. *)
+   popcount, faultsim first_lane), verbatim.  Arena.Stamped's epoch
+   semantics get direct unit tests. *)
 
 module Word = Stc_bits.Word
-module Bitvec = Stc_bits.Bitvec
 module Arena = Stc_bits.Arena
 module Rng = Stc_util.Rng
 
@@ -100,78 +98,6 @@ let test_lane_edges () =
   Alcotest.(check bool) "inter2 hit hi" true (Word.Lane.inter2 5 2 12 4)
 
 (* ------------------------------------------------------------------ *)
-(* Bitvec vs a bool-array spec                                         *)
-(* ------------------------------------------------------------------ *)
-
-let random_bools rng n = Array.init n (fun _ -> Rng.int rng 2 = 1)
-
-let spec_binop f a b = Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let test_bitvec_algebra =
-  QCheck.Test.make ~count:500 ~name:"Bitvec set algebra = bool-array spec"
-    QCheck.(pair (int_bound 100000) (int_range 1 200))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let a = random_bools rng n and b = random_bools rng n in
-      let va = Bitvec.of_bools a and vb = Bitvec.of_bools b in
-      Bitvec.to_bools (Bitvec.union va vb) = spec_binop ( || ) a b
-      && Bitvec.to_bools (Bitvec.inter va vb) = spec_binop ( && ) a b
-      && Bitvec.to_bools (Bitvec.diff va vb) = spec_binop (fun x y -> x && not y) a b
-      && Bitvec.to_bools (Bitvec.symdiff va vb) = spec_binop ( <> ) a b
-      && Bitvec.to_bools (Bitvec.compl va) = Array.map not a
-      && Bitvec.to_bools va = a)
-
-let count_true a = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 a
-
-let test_bitvec_queries =
-  QCheck.Test.make ~count:500 ~name:"Bitvec queries = bool-array spec"
-    QCheck.(pair (int_bound 100000) (int_range 1 200))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let a = random_bools rng n and b = random_bools rng n in
-      let va = Bitvec.of_bools a and vb = Bitvec.of_bools b in
-      let spec_first =
-        let rec go i = if i >= n then None else if a.(i) then Some i else go (i + 1) in
-        go 0
-      in
-      let members = ref [] in
-      Bitvec.iter (fun i -> members := i :: !members) va;
-      Bitvec.popcount va = count_true a
-      && Bitvec.parity va = count_true a land 1
-      && Bitvec.is_empty va = (count_true a = 0)
-      && Bitvec.first_set va = spec_first
-      && List.rev !members
-         = List.filter (fun i -> a.(i)) (List.init n (fun i -> i))
-      && Bitvec.fold (fun acc i -> acc + i) 0 va
-         = List.fold_left ( + ) 0 (List.filter (fun i -> a.(i)) (List.init n (fun i -> i)))
-      && Bitvec.subset (Bitvec.inter va vb) va
-      && Bitvec.subset va vb
-         = Array.for_all Fun.id (spec_binop (fun x y -> (not x) || y) a b)
-      && Bitvec.disjoint va vb
-         = (count_true (spec_binop ( && ) a b) = 0)
-      && Bitvec.equal va vb = (a = b))
-
-let test_bitvec_units () =
-  let v = Bitvec.create 70 in
-  Alcotest.(check int) "length" 70 (Bitvec.length v);
-  Alcotest.(check bool) "fresh empty" true (Bitvec.is_empty v);
-  Bitvec.set v 0;
-  Bitvec.set v 63;
-  Bitvec.set v 69;
-  Alcotest.(check bool) "mem 63" true (Bitvec.mem v 63);
-  Alcotest.(check int) "popcount" 3 (Bitvec.popcount v);
-  let w = Bitvec.copy v in
-  Bitvec.clear w 63;
-  Alcotest.(check bool) "copy isolated" true (Bitvec.mem v 63 && not (Bitvec.mem w 63));
-  (* complement keeps the tail bits (>= len) zero *)
-  let c = Bitvec.compl v in
-  Alcotest.(check int) "compl popcount" 67 (Bitvec.popcount c);
-  Alcotest.check_raises "set out of range" (Invalid_argument "Bitvec: index out of range")
-    (fun () -> Bitvec.set v 70);
-  Alcotest.check_raises "mem negative" (Invalid_argument "Bitvec: index out of range")
-    (fun () -> ignore (Bitvec.mem v (-1)))
-
-(* ------------------------------------------------------------------ *)
 (* Arena                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -203,6 +129,47 @@ let test_arena_stamped () =
   Arena.Stamped.set s 99 5;
   Alcotest.(check int) "grown slot writable" 5 (Arena.Stamped.get s 99 ~default:0)
 
+(* Stamped against a model: the set of slots written since the last bump
+   or growth, replayed over random operation sequences.  Each sequence
+   starts with a bump, as every caller does before its first write. *)
+let test_stamped_model =
+  QCheck.Test.make ~count:500 ~name:"Stamped = written-slot model (random ops)"
+    QCheck.(pair (int_bound 100000) (int_range 1 200))
+    (fun (seed, steps) ->
+      let rng = Rng.create seed in
+      let s = Arena.Stamped.create (1 + Rng.int rng 8) in
+      let _ = Arena.Stamped.bump s in
+      let model = Hashtbl.create 16 in
+      let agrees () =
+        let ok = ref true in
+        for i = 0 to Array.length s.Arena.Stamped.data - 1 do
+          let expect = Hashtbl.find_opt model i in
+          ok :=
+            !ok
+            && Arena.Stamped.mem s i = Option.is_some expect
+            && Arena.Stamped.get s i ~default:(-1) = Option.value expect ~default:(-1)
+        done;
+        !ok
+      in
+      let rec go k =
+        k = 0
+        ||
+        let len = Array.length s.Arena.Stamped.data in
+        (match Rng.int rng 4 with
+        | 0 | 1 ->
+            let i = Rng.int rng len and v = Rng.int rng 1000 in
+            Arena.Stamped.set s i v;
+            Hashtbl.replace model i v
+        | 2 ->
+            let _ = Arena.Stamped.bump s in
+            Hashtbl.reset model
+        | _ ->
+            Arena.Stamped.ensure s (1 + Rng.int rng 64);
+            if Array.length s.Arena.Stamped.data <> len then Hashtbl.reset model);
+        agrees () && go (k - 1)
+      in
+      go steps)
+
 let () =
   Alcotest.run "stc_bits"
     [
@@ -215,15 +182,10 @@ let () =
           qcheck test_lane_vs_single_word;
           Alcotest.test_case "lane edge cases" `Quick test_lane_edges;
         ] );
-      ( "bitvec",
-        [
-          qcheck test_bitvec_algebra;
-          qcheck test_bitvec_queries;
-          Alcotest.test_case "units" `Quick test_bitvec_units;
-        ] );
       ( "arena",
         [
           Alcotest.test_case "ensure growth" `Quick test_arena_ensure;
           Alcotest.test_case "stamped epochs" `Quick test_arena_stamped;
         ] );
+      ("epochs", [ qcheck test_stamped_model ]);
     ]

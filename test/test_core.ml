@@ -109,7 +109,7 @@ let test_solver_matches_exhaustive =
           ~num_outputs:2 ~ensure_reduced:false ()
       in
       let dfs = Solver.solve m in
-      let oracle = Solver.solve_exhaustive m in
+      let oracle = Stc_oracle.Solver.solve_exhaustive m in
       dfs.best.cost.bits = oracle.cost.bits
       && dfs.best.cost.factor_states = oracle.cost.factor_states)
 

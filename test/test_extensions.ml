@@ -318,7 +318,7 @@ let test_closure_is_minimal_closed =
              if Partition.subseteq pi q && Decompose.is_closed ~next q then
                Partition.subseteq c q
              else true)
-           (Stc_partition.Enumerate.all n))
+           (Stc_oracle.Enumerate.all n))
 
 let test_decompose_counter_serial_only () =
   (* The counter decomposes serially (ripple carry) but admits no

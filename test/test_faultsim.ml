@@ -10,6 +10,7 @@ module Suite = Stc_benchmarks.Suite
 module Metrics = Stc_obs.Metrics
 module Rng = Stc_util.Rng
 module Cover = Stc_logic.Cover
+module Oracle = Stc_oracle
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -221,7 +222,7 @@ let test_naive_vs_fast_architectures () =
       List.iter
         (fun (arch_name, build) ->
           let built = build machine in
-          let naive = Arch.grade ~naive:true built in
+          let naive = Oracle.Session.grade built in
           let name =
             Printf.sprintf "%s/%s" machine.Stc_fsm.Machine.name arch_name
           in
@@ -293,7 +294,7 @@ let test_random_netlists_equivalent =
         Array.init cycles (fun _ ->
             Array.init num_vars (fun _ -> if Rng.bool rng then 1 else 0))
       in
-      let naive = Session.run ~naive:true ~label:"na" net ~stimuli ~observed in
+      let naive = Oracle.Session.run ~label:"na" net ~stimuli ~observed in
       let agree (fast : Session.report) =
         naive.Session.total = fast.Session.total
         && naive.Session.detected = fast.Session.detected
@@ -323,7 +324,7 @@ let test_detect_cycles_exact () =
   in
   Metrics.reset ();
   let naive =
-    Session.run ~naive:true ~label:"cyc" net ~stimuli ~observed:[| a |]
+    Oracle.Session.run ~label:"cyc" net ~stimuli ~observed:[| a |]
   in
   let h_naive = snap () in
   Metrics.reset ();
@@ -339,7 +340,7 @@ let test_detect_cycles_exact () =
     && h_naive.Metrics.sum = h_fast.Metrics.sum)
 
 let test_seqtest_naive_vs_fast () =
-  let naive = Seqtest.run_conventional ~naive:true ~cycles:256 shiftreg in
+  let naive = Oracle.Seqtest.run_conventional ~cycles:256 shiftreg in
   let fast = Seqtest.run_conventional ~cycles:256 shiftreg in
   let fast2 = Seqtest.run_conventional ~jobs:2 ~cycles:256 shiftreg in
   check_int "total" naive.Seqtest.total fast.Seqtest.total;
@@ -351,7 +352,7 @@ let test_seqtest_naive_vs_fast () =
 
 let test_aliasing_naive_vs_fast () =
   let built = Arch.pipeline_of_machine (Zoo.paper_fig5 ()) in
-  let naive = Aliasing.measure ~naive:true ~cycles:128 built in
+  let naive = Oracle.Aliasing.measure ~cycles:128 built in
   let fast = Aliasing.measure ~cycles:128 built in
   let fast2 = Aliasing.measure ~jobs:2 ~cycles:128 built in
   check_int "total" naive.Aliasing.total fast.Aliasing.total;

@@ -15,7 +15,7 @@ module Tables = Stc_encoding.Tables
 module Code = Stc_encoding.Code
 module Minimize = Stc_logic.Minimize
 module Cover = Stc_logic.Cover
-module Truth = Stc_logic.Truth
+module Truth = Stc_oracle.Truth
 module N = Stc_netlist.Netlist
 module B = Stc_netlist.Netlist.Builder
 module Partition = Stc_partition.Partition

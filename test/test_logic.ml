@@ -3,7 +3,7 @@ module Cover = Stc_logic.Cover
 module Minimize = Stc_logic.Minimize
 module Naive = Stc_logic.Naive
 module Pla = Stc_logic.Pla
-module Truth = Stc_logic.Truth
+module Truth = Stc_oracle.Truth
 module Rng = Stc_util.Rng
 
 let check_int = Alcotest.(check int)
@@ -374,7 +374,7 @@ let test_minimize_vs_reference =
       let on = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
       let dc = random_cover rng ~num_vars ~num_outputs ~max_cubes:4 in
       let packed, _ = Minimize.minimize ~dc on in
-      let reference, _ = Minimize.reference ~dc on in
+      let reference, _ = Stc_oracle.Minimize.reference ~dc on in
       Minimize.verify ~on ~dc packed
       && Minimize.verify ~on ~dc reference
       && Truth.equivalent_with_dc ~on ~dc packed

@@ -1,6 +1,6 @@
 module Partition = Stc_partition.Partition
 module Pair = Stc_partition.Pair
-module Enumerate = Stc_partition.Enumerate
+module Enumerate = Stc_oracle.Enumerate
 module Machine = Stc_fsm.Machine
 module Zoo = Stc_fsm.Zoo
 module Generate = Stc_fsm.Generate
@@ -410,7 +410,7 @@ let test_mm_pairs_are_mm =
 (* Packed kernels vs the retained element-wise reference               *)
 (* ------------------------------------------------------------------ *)
 
-module Reference = Stc_partition.Reference
+module Reference = Stc_oracle.Reference
 
 (* Class maps with ids well outside [0..n-1] (including negatives), to
    drive the canonicalization fallback as well as the stamped fast

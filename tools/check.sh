@@ -7,59 +7,52 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Run a command under a hard 300 s wall-clock cap when timeout(1) exists.
+capped() {
+  if command -v timeout >/dev/null 2>&1; then
+    timeout 300 "$@"
+  else
+    "$@"
+  fi
+}
+
 echo "== dune build =="
 dune build
+
+echo "== runtime code must not link the test-only oracle library =="
+# stc_oracle (test/oracle) holds the reference engines; only test/ and
+# bench/ may link it.
+if grep -l stc_oracle bin/dune perfbench/dune examples/dune lib/*/dune; then
+  echo "check.sh: stc_oracle linked outside test/ and bench/" >&2
+  exit 1
+fi
 
 echo "== dune runtest =="
 dune runtest
 
 echo "== solver smoke (hard cap via timeout(1)) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- quick
-else
-  dune exec bench/main.exe -- quick
-fi
+capped dune exec bench/main.exe -- quick
 
 echo "== fault-sim smoke (optimized engine must match the naive grader) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- faultsim-quick
-else
-  dune exec bench/main.exe -- faultsim-quick
-fi
+capped dune exec bench/main.exe -- faultsim-quick
 
 echo "== BENCH_faultsim.json must pass the versioned bench schema =="
 dune exec tools/json_lint.exe -- --bench BENCH_faultsim.json
 
 echo "== minimize smoke (packed engine must match the naive reference) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- minimize-quick
-else
-  dune exec bench/main.exe -- minimize-quick
-fi
+capped dune exec bench/main.exe -- minimize-quick
 
 echo "== BENCH_minimize.json must pass the versioned bench schema =="
 dune exec tools/json_lint.exe -- --bench BENCH_minimize.json
 
 echo "== core kernel smoke (packed bit engine must match the references) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- core-quick
-else
-  dune exec bench/main.exe -- core-quick
-fi
+capped dune exec bench/main.exe -- core-quick
 
 echo "== SAT verify smoke (equivalence + redundancy proofs must hold) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- verify-quick
-else
-  dune exec bench/main.exe -- verify-quick
-fi
+capped dune exec bench/main.exe -- verify-quick
 
 echo "== anytime smoke (stochastic tier: gap >= 0, seeded determinism) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- anytime-quick
-else
-  dune exec bench/main.exe -- anytime-quick
-fi
+capped dune exec bench/main.exe -- anytime-quick
 
 echo "== every BENCH file must pass the versioned bench schema =="
 dune exec tools/json_lint.exe -- --bench \
@@ -78,31 +71,16 @@ dune exec tools/json_lint.exe -- "$obs_dir/metrics.json" metrics
 dune exec tools/json_lint.exe -- --folded "$obs_dir/prof.folded"
 
 echo "== bench-diff noise gate (same config twice must not regress) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- core-quick "$obs_dir/bq_a.json"
-  timeout 300 dune exec bench/main.exe -- core-quick "$obs_dir/bq_b.json"
-else
-  dune exec bench/main.exe -- core-quick "$obs_dir/bq_a.json"
-  dune exec bench/main.exe -- core-quick "$obs_dir/bq_b.json"
-fi
+capped dune exec bench/main.exe -- core-quick "$obs_dir/bq_a.json"
+capped dune exec bench/main.exe -- core-quick "$obs_dir/bq_b.json"
 dune exec tools/json_lint.exe -- --bench "$obs_dir/bq_a.json" "$obs_dir/bq_b.json"
 dune exec tools/bench_diff.exe -- "$obs_dir/bq_a.json" "$obs_dir/bq_b.json"
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- verify-quick "$obs_dir/vq_a.json"
-  timeout 300 dune exec bench/main.exe -- verify-quick "$obs_dir/vq_b.json"
-else
-  dune exec bench/main.exe -- verify-quick "$obs_dir/vq_a.json"
-  dune exec bench/main.exe -- verify-quick "$obs_dir/vq_b.json"
-fi
+capped dune exec bench/main.exe -- verify-quick "$obs_dir/vq_a.json"
+capped dune exec bench/main.exe -- verify-quick "$obs_dir/vq_b.json"
 dune exec tools/json_lint.exe -- --bench "$obs_dir/vq_a.json" "$obs_dir/vq_b.json"
 dune exec tools/bench_diff.exe -- "$obs_dir/vq_a.json" "$obs_dir/vq_b.json"
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_a.json"
-  timeout 300 dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_b.json"
-else
-  dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_a.json"
-  dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_b.json"
-fi
+capped dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_a.json"
+capped dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_b.json"
 dune exec tools/json_lint.exe -- --bench "$obs_dir/aq_a.json" "$obs_dir/aq_b.json"
 dune exec tools/bench_diff.exe -- "$obs_dir/aq_a.json" "$obs_dir/aq_b.json"
 
@@ -121,28 +99,30 @@ echo "== whole-flow benchmark gate (tbk-bist job must pass its correctness check
 # One cold tbk job through the self-test flow: co-simulation, Minimize.verify
 # on C1/C2/Lambda and CLI parity run after the timed stages, and the last
 # stdout line must report "correct":true.
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 python3 perfbench/run.py --workload tbk-bist --seed 1 --seconds 1 \
+capped python3 perfbench/run.py --workload tbk-bist --seed 1 --seconds 1 \
     --trace 0 > "$obs_dir/perfbench.txt"
-else
-  python3 perfbench/run.py --workload tbk-bist --seed 1 --seconds 1 \
-    --trace 0 > "$obs_dir/perfbench.txt"
-fi
 tail -n 1 "$obs_dir/perfbench.txt" | grep -q '"correct":true'
 
 echo "== sign-off benchmark gate (verify job must pass its checks, 216 proofs) =="
 # One pass of the corpus through the SAT sign-off flow: CEC, the pipeline
 # prover and the redundant-fault proofs, then the co-simulation and CLI
 # parity checks.  The corpus total of proven-untestable faults is pinned.
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 python3 perfbench/run.py --workload verify --seed 1 --seconds 1 \
+capped python3 perfbench/run.py --workload verify --seed 1 --seconds 1 \
     --trace 0 > "$obs_dir/perfbench_verify.txt"
-else
-  python3 perfbench/run.py --workload verify --seed 1 --seconds 1 \
-    --trace 0 > "$obs_dir/perfbench_verify.txt"
-fi
 tail -n 1 "$obs_dir/perfbench_verify.txt" | grep -q '"correct":true'
 grep -q '^redundant_proved 216 ' "$obs_dir/perfbench_verify.txt"
+
+echo "== negative --cycles is a usage error (cmdliner exit 124) =="
+for cmd in "faultcov --names dk27" "testlen --names dk27" \
+  "aliasing --names dk27" "selftest dk27"; do
+  status=0
+  # shellcheck disable=SC2086 # $cmd is a word list on purpose
+  dune exec bin/ostr.exe -- $cmd --cycles=-3 > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "check.sh: ostr $cmd --cycles=-3 exited $status, expected 124" >&2
+    exit 1
+  fi
+done
 
 echo "== static lint gate (benchmark suite, --werror) =="
 # Expected-clean set: each of these machines must lint with zero errors AND
